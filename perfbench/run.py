@@ -39,6 +39,7 @@ sys.dont_write_bytecode = True
 
 import tracing  # noqa: E402  (after the thread pinning: workloads imports numpy)
 import workloads  # noqa: E402
+import yardstick  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REQUIRED = ("src/stegadapt/__init__.py", "configs/desk.json", "data/corpora/harbor.txt", "data/corpora/orchard.txt")
@@ -239,6 +240,8 @@ def _run(args) -> dict:
     tracer = tracing.Tracer()
     if args.trace:
         tracing.instrument(tracer, sa)
+    yard = yardstick.Yardstick()
+    import_s = yard.scale(workloads.import_seconds(ROOT, _child_env()))
     ctx = workloads.Context(
         workload=args.workload,
         seed=args.seed,
@@ -247,8 +250,9 @@ def _run(args) -> dict:
         work=work,
         sa=sa,
         tracer=tracer,
+        yard=yard,
         make_cache=_make_cache_in_child(args.seed),
-        import_s=workloads.import_seconds(ROOT, _child_env()),
+        import_s=import_s,
     )
     try:
         outcome = workloads.WORKLOADS[args.workload](ctx)
@@ -267,6 +271,8 @@ def _run(args) -> dict:
     }
     print(f"units {len(outcome.unit_s)} untraced, {len(outcome.traced_unit_s)} traced; "
           f"work_s per unit: {', '.join(f'{t:.4f}' for t in outcome.unit_s + outcome.traced_unit_s)}")
+    print(f"kernel slowness around each unit, warm-up first: {', '.join(f'{f:.3f}' for f in ctx.unit_factor)}; "
+          f"median of all readings {yard.median_slowness():.3f}")
     for name, unit in END_TO_END:
         print(f"metric {name} = {end_to_end[name]:.6g} {unit}")
     ctx.named["failed_share"] = (ctx.failed / attempted, "ratio")

@@ -20,20 +20,20 @@ from collections import defaultdict
 from pathlib import Path
 
 LAYERS = ("corpus", "stegogen", "encoder", "head", "model", "adapt", "experiment")
+MAX_SPANS = 50_000  # spans kept in memory; later ones are counted as dropped
 
 
 class Tracer:
     """In-memory spans plus per-name totals, self times, calls and counters."""
 
-    def __init__(self, max_spans: int = 50_000):
-        self.max_spans = max_spans
+    def __init__(self):
         self.spans: list[tuple | None] = []
         self.dropped = 0
         self.total_s: dict[str, float] = defaultdict(float)
         self.self_s: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)
         self.counters: dict[str, float] = defaultdict(float)
-        self.hooks: dict[str, object] = {}  # span name -> extra observer
+        self.observers: dict[str, list] = defaultdict(list)  # span name -> f(tracer, args, kwargs, result)
         self.enabled = False
         self.unit = -1
         self._stack: list[list] = []  # [span index, child seconds]
@@ -47,7 +47,7 @@ class Tracer:
 
     def _open(self) -> list:
         index = -1
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < MAX_SPANS:
             index = len(self.spans)
             self.spans.append(None)
         frame = [index, 0.0]
@@ -76,9 +76,13 @@ class Tracer:
     def count(self, name: str, value: float = 1.0) -> None:
         self.counters[name] += value
 
+    def observe(self, span_name: str, fn) -> None:
+        """Call ``fn(tracer, args, kwargs, result)`` after each traced call recorded as ``span_name``."""
+        self.observers[span_name].append(fn)
+
     # -- patching -----------------------------------------------------------
 
-    def patch(self, owner: object, attr: str, name, observe=None) -> None:
+    def patch(self, owner: object, attr: str, name) -> None:
         """Wrap ``owner.attr``; ``name`` is a span name or ``f(args, kwargs) -> name``."""
         original = getattr(owner, attr)
         tracer = self
@@ -94,12 +98,11 @@ class Tracer:
                 result = original(*args, **kwargs)
             finally:
                 tracer._close(frame, span_name, start, time.perf_counter())
-            hook = tracer.hooks.get(span_name)
-            if observe is not None or hook is not None:
+            observers = tracer.observers.get(span_name)
+            if observers:
                 begin = time.perf_counter()
-                for fn in (observe, hook):
-                    if fn is not None:
-                        fn(tracer, args, kwargs, result)
+                for fn in observers:
+                    fn(tracer, args, kwargs, result)
                 tracer._observed(time.perf_counter() - begin)
             return result
 
@@ -175,25 +178,35 @@ def instrument(tracer: Tracer, sa) -> None:
     tracer.patch(stegogen, "tokenize", "corpus.tokenize")
     tracer.patch(corpus, "build_vocab", "corpus.build_vocab")
     tracer.patch(stegogen, "make_splits", "corpus.make_splits")
-    tracer.patch(experiment, "dataset_to_jsonl", "corpus.dataset_to_jsonl", _count_files("corpus.cache_bytes_written", 1))
-    tracer.patch(experiment, "dataset_from_jsonl", "corpus.dataset_from_jsonl", _count_files("corpus.cache_bytes_read", 0))
+    tracer.patch(experiment, "dataset_to_jsonl", "corpus.dataset_to_jsonl")
+    tracer.observe("corpus.dataset_to_jsonl", _count_files("corpus.cache_bytes_written", 1))
+    tracer.patch(experiment, "dataset_from_jsonl", "corpus.dataset_from_jsonl")
+    tracer.observe("corpus.dataset_from_jsonl", _count_files("corpus.cache_bytes_read", 0))
 
     tracer.patch(experiment, "build_domain_dataset", "stegogen.build_domain_dataset")
     tracer.patch(stegogen, "fit_lm", "stegogen.fit_lm")
-    tracer.patch(stegogen, "sample_cover", "stegogen.sample_cover", _observe_cover)
-    tracer.patch(stegogen, "embed_flc", "stegogen.embed", _observe_embed)
-    tracer.patch(stegogen, "embed_vlc", "stegogen.embed", _observe_embed)
-    tracer.patch(stegogen, "extract_bits", "stegogen.extract_bits", _observe_extract)
+    tracer.patch(stegogen, "sample_cover", "stegogen.sample_cover")
+    tracer.observe("stegogen.sample_cover", _observe_cover)
+    tracer.patch(stegogen, "embed_flc", "stegogen.embed")
+    tracer.patch(stegogen, "embed_vlc", "stegogen.embed")
+    tracer.observe("stegogen.embed", _observe_embed)
+    tracer.patch(stegogen, "extract_bits", "stegogen.extract_bits")
+    tracer.observe("stegogen.extract_bits", _observe_extract)
     tracer.patch(stegogen, "huffman_codebook", "stegogen.huffman_codebook")
 
-    tracer.patch(encoder.BuiltinEncoder, "encode_batch", "encoder.encode_batch", _observe_encode)
+    tracer.patch(encoder.BuiltinEncoder, "encode_batch", "encoder.encode_batch")
+    tracer.observe("encoder.encode_batch", _observe_encode)
     tracer.patch(encoder.BuiltinEncoder, "gradient_tensors", "encoder.gradient_tensors")
 
-    tracer.patch(model, "forward_batch", _forward_name, _observe_forward)
+    tracer.patch(model, "forward_batch", _forward_name)
+    tracer.observe("head.forward_batch.train", _observe_forward)
+    tracer.observe("head.forward_batch.eval", _observe_forward)
     tracer.patch(adapt, "backward_batch", "head.backward_batch")
-    tracer.patch(adapt, "adam_step", "head.adam_step", _observe_adam)
+    tracer.patch(adapt, "adam_step", "head.adam_step")
+    tracer.observe("head.adam_step", _observe_adam)
 
-    tracer.patch(model.Classifier, "predict", "model.predict", _observe_predict)
+    tracer.patch(model.Classifier, "predict", "model.predict")
+    tracer.observe("model.predict", _observe_predict)
     tracer.patch(model.Classifier, "clone", "model.clone")
 
     for fn in ("pretrain", "finetune", "estimate_pseudo_labels", "select_candidates", "evaluate_model"):

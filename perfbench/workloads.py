@@ -1,10 +1,10 @@
 """The four benchmark workloads.
 
-Each workload sets up once (set-up steps that can be repeated run three
-times and report their median), runs one warm-up unit of work, then repeats
-the unit until its time is spent. Every unit of a run gets the same inputs,
-made from the seed, so units are comparable and each repeat is also a
-rerun check.
+Each workload sets up three times and reports the median, runs one
+warm-up unit of work, then repeats the unit until its time is spent. Every
+unit of a run gets the same inputs, made from the seed, so units are
+comparable and each repeat is also a rerun check. Every set-up and unit
+time is scaled to the reference kernels' nominal speed (``yardstick``).
 
 - ``datagen``: a cold ``experiment.prepare_data`` of ``configs/desk.json``
   into an empty cache, then a warm reload of that cache.
@@ -34,11 +34,12 @@ from typing import Callable
 import numpy as np
 
 from tracing import Tracer
+from yardstick import Yardstick
 
 CONFIG = "configs/desk.json"
 SOURCE, TARGET = "H", "O"
 SETUP_REPS = 3
-ADAPT_SETUP_EPOCHS = 1   # from one source epoch a later round wins on about half the seeds
+ADAPT_SETUP_EPOCHS = 1   # from one source epoch a later round won on 7 of 20 proof seeds
 ADAPT_ROUNDS = 2         # finetune rounds per unit: m = 400, 800
 CODEC_CORPUS = "data/corpora/harbor.txt"
 CODEC_CASES_PER_SETTING = 100  # per (coding, bpw) pair, 1,000 round trips per unit
@@ -64,11 +65,13 @@ class Context:
     work: Path
     sa: SimpleNamespace
     tracer: Tracer
+    yard: Yardstick
     make_cache: Callable[[Path], None]   # writes the desk dataset cache in a child process
     import_s: float = 0.0
     attempted: int = 0
     failed: int = 0
     problems: list[str] = field(default_factory=list)
+    unit_factor: list[float] = field(default_factory=list)   # kernel slowness around each unit, warm-up first
     named: dict[str, tuple[float, str]] = field(default_factory=dict)   # printed by name
     layer: dict[str, float] = field(default_factory=dict)               # extra per-layer values
 
@@ -83,13 +86,14 @@ class Context:
         return desk_config(self.sa.config, self.seed)
 
     def timed_setup(self, setup):
-        """Median over ``SETUP_REPS`` runs of ``setup`` plus import time; returns (s, last result)."""
+        """Median over ``SETUP_REPS`` scaled runs of ``setup`` plus import time; returns (s, last result)."""
         times = []
         result = None
+        self.yard.start()
         for _ in range(SETUP_REPS):
             start = time.perf_counter()
             result = setup()
-            times.append(time.perf_counter() - start)
+            times.append(self.yard.scale(time.perf_counter() - start))
         return self.import_s + statistics.median(times), result
 
     def untraced(self):
@@ -119,8 +123,9 @@ class Outcome:
 def _repeat(ctx: Context, unit, budget: float, min_reps: int, first: int = 0) -> list[float]:
     """Run ``unit(rep)`` until another unit would overrun ``budget``; at least ``min_reps``.
 
-    Returns what each unit reports; the wall time of whole units, checks
-    included, decides whether another one fits.
+    ``unit`` returns the wall seconds of its timed part; this returns them
+    scaled by the reference kernels. The wall time of whole units, checks and
+    kernels included, decides whether another one fits.
     """
     times: list[float] = []
     walls: list[float] = []
@@ -129,11 +134,13 @@ def _repeat(ctx: Context, unit, budget: float, min_reps: int, first: int = 0) ->
         ctx.tracer.unit = first + len(times)
         start = time.perf_counter()
         try:
-            times.append(unit(first + len(times)))
+            elapsed = unit(first + len(times))
         except Exception:  # the unit's public call failed: record it and stop measuring
             ctx.failed += 1
             ctx.problems.append(f"unit {first + len(times)} raised:\n{traceback.format_exc()}")
             break
+        times.append(ctx.yard.scale(elapsed))
+        ctx.unit_factor.append(ctx.yard.factor)
         walls.append(time.perf_counter() - start)
     return times
 
@@ -142,6 +149,7 @@ def _measure(ctx: Context, unit) -> tuple[list[float], list[float]]:
     """A discarded warm-up unit, then untraced units, or in a trace run half
     untraced and half traced. The warm-up counts against ``--seconds``."""
     begin = time.perf_counter()
+    ctx.yard.start()
     if not _repeat(ctx, unit, 0.0, 1):
         return [], []
     budget = ctx.seconds - (time.perf_counter() - begin)
@@ -216,8 +224,11 @@ def datagen(ctx: Context) -> Outcome:
     base, traced = _measure(ctx, unit)
     _same(digests, "generated dataset", ctx)
     if base:  # unit 0 is the warm-up
-        ctx.named["gen_samples_per_s"] = (n_samples / statistics.median(cold_s[1 : 1 + len(base)]), "1/s")
-        ctx.named["cache_load_s"] = (statistics.median(warm_s[1 : 1 + len(base)]), "s")
+        factors = ctx.unit_factor[1 : 1 + len(base)]
+        cold = [t / f for t, f in zip(cold_s[1 : 1 + len(base)], factors)]
+        warm = [t / f for t, f in zip(warm_s[1 : 1 + len(base)], factors)]
+        ctx.named["gen_samples_per_s"] = (n_samples / statistics.median(cold), "1/s")
+        ctx.named["cache_load_s"] = (statistics.median(warm), "s")
     if first:
         ctx.layer["stegogen.distinct_text_share"] = _distinct_share(first["data"])
     return Outcome(setup_s, base, traced)
@@ -279,16 +290,19 @@ def pretrain(ctx: Context) -> Outcome:
     return Outcome(setup_s, base, traced)
 
 
+def _adapt_setup(ctx: Context):
+    """The training set-up plus the source pretraining that gives ``finetune`` its checkpoint."""
+    cfg, data, model = _training_setup(ctx)
+    source = data.datasets[SOURCE]
+    pre_cfg = replace(cfg.train, pretrain_epochs=ADAPT_SETUP_EPOCHS, seed=ctx.seed)
+    return cfg, data, ctx.sa.adapt.pretrain(model, source.train, source.val, pre_cfg)
+
+
 def adapt(ctx: Context) -> Outcome:
     sa = ctx.sa
     ctx.make_cache(ctx.work / "cache")
-    setup_s, (cfg, data, model) = ctx.timed_setup(lambda: _training_setup(ctx))
-    source, target = data.datasets[SOURCE], data.datasets[TARGET]
-    start = time.perf_counter()
-    pre = sa.adapt.pretrain(
-        model, source.train, source.val, replace(cfg.train, pretrain_epochs=ADAPT_SETUP_EPOCHS, seed=ctx.seed)
-    )
-    setup_s += time.perf_counter() - start
+    setup_s, (cfg, data, pre) = ctx.timed_setup(lambda: _adapt_setup(ctx))
+    target = data.datasets[TARGET]
     _losses_finite(ctx, pre.log, "set-up pretraining")
 
     pool = sa.corpus.strip_labels(target.train)
@@ -306,8 +320,8 @@ def adapt(ctx: Context) -> Outcome:
         ctx.layer.setdefault(f"adapt.pl_precision.pool.r{r}", rounds["pool"])
         ctx.layer.setdefault(f"adapt.pl_precision.selected.r{r}", _pl_precision(result, withheld))
 
-    ctx.tracer.hooks["adapt.estimate_pseudo_labels"] = on_pool
-    ctx.tracer.hooks["adapt.select_candidates"] = on_select
+    ctx.tracer.observe("adapt.estimate_pseudo_labels", on_pool)
+    ctx.tracer.observe("adapt.select_candidates", on_select)
 
     def unit(rep: int) -> float:
         rounds["n"] = 0
