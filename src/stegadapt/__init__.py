@@ -63,7 +63,6 @@ from .head import (
     HeadConfig,
     HeadParams,
     adam_step,
-    backward,
     backward_batch,
     batch_loss_ce,
     forward,

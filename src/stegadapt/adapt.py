@@ -38,7 +38,6 @@ class TrainConfig:
     seed: int = 0
     eval_batch_size: int = 256
     reestimate_pseudo_labels: bool = True
-    keep_initial_candidate: bool = True
     selection_metric: str = "acc"
 
     def __post_init__(self):
@@ -250,13 +249,12 @@ def finetune(
     picks from the current pseudo-labels, the same top fraction of each
     pseudo-class, and logs how many of them are pseudo-labelled stego
     (``selected_stego``). The returned checkpoint is the best
-    target-validation model seen across the whole stage; by default the
-    stage's starting checkpoint competes too (round index 0), so a run whose
+    target-validation model seen across the whole stage; the stage's
+    starting checkpoint competes too (round index 0), so a run whose
     self-training rounds all degrade falls back to where it started. With
     zero rounds the input checkpoint comes back unchanged (the no-adaptation
-    ablation). Set
-    ``cfg.reestimate_pseudo_labels`` False to freeze the first round's
-    pseudo-labels instead of refreshing them.
+    ablation). Set ``cfg.reestimate_pseudo_labels`` False to freeze the first
+    round's pseudo-labels instead of refreshing them.
     """
     if not target_pool:
         raise ValueError("target pool is empty")
@@ -269,12 +267,8 @@ def finetune(
     schedule = schedule_sizes(cfg.expansion, len(target_pool), cfg.finetune_rounds)
     optimizer = AdamState()
     best = work.clone()
-    best_acc = None
-    best_round = None
-    if cfg.keep_initial_candidate:
-        initial_val = evaluate_model(work, target_val, cfg.eval_batch_size)
-        best_acc = cfg.metric_value(initial_val)
-        best_round = 0
+    best_acc = cfg.metric_value(evaluate_model(work, target_val, cfg.eval_batch_size))
+    best_round = 0
     previous_labels: dict[str, int] | None = None
     first_pool: PseudoPool | None = None
     log: list[dict] = []
@@ -311,7 +305,7 @@ def finetune(
                 "val_f1": val.f1,
             }
         )
-        if best_acc is None or cfg.metric_value(val) > best_acc:
+        if cfg.metric_value(val) > best_acc:
             best = work.clone()
             best_acc = cfg.metric_value(val)
             best_round = round_idx

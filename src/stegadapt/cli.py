@@ -9,26 +9,28 @@ outputs are byte-stable for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-from .adapt import evaluate_model, finetune, pretrain
 from .config import ExperimentConfig, load_config
-from .corpus import strip_labels
 from .errors import StegadaptError
 from .experiment import (
+    TaskData,
+    TaskResult,
     TaskSpec,
-    build_model,
+    adapt_stage,
+    checkpoint_path,
+    evaluate_stage,
     export_projection,
     prepare_data,
+    pretrain_stage,
+    result_row,
+    results_path,
     run_ablation,
     run_matrix,
-    write_markdown_summary,
+    write_results,
     write_rows_csv,
 )
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint
 
 
 def _base_parser(sub, name, help_text, task=True):
@@ -74,20 +76,12 @@ def _seeds(cfg: ExperimentConfig, args) -> list[int]:
     return [args.seed] if args.seed is not None else list(cfg.eval.seeds)
 
 
-def _run_dir(out_dir: str, spec: TaskSpec, seed: int, variant: str | None = None) -> Path:
-    return Path(out_dir) / "runs" / spec.name / (variant or spec.ablation) / f"seed{seed}"
-
-
-def _default_checkpoint(run_dir: Path) -> Path:
-    adapted = run_dir / "adapted.npz"
-    return adapted if adapted.exists() else run_dir / "pretrain.npz"
-
-
-def _write_jsonl(path: Path, records) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def _task(cfg: ExperimentConfig, args) -> tuple[TaskData, TaskSpec]:
+    """Prepared data and the task; unknown domain tags fail before any run file is read or written."""
+    data = prepare_data(cfg, args.out_dir)
+    spec = TaskSpec(source=args.source, target=args.target)
+    data.task(spec)
+    return data, spec
 
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
@@ -101,106 +95,72 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
-    data = prepare_data(cfg, args.out_dir)
-    spec = TaskSpec(source=args.source, target=args.target)
+    data, spec = _task(cfg, args)
     for seed in _seeds(cfg, args):
-        model = build_model(cfg, data, spec, seed)
-        result = pretrain(model, data.datasets[spec.source].train, data.datasets[spec.source].val, replace(cfg.train, seed=seed))
-        run_dir = _run_dir(args.out_dir, spec, seed)
-        save_checkpoint(run_dir / "pretrain.npz", result.model, extra={"stage": "pretrain", "seed": seed})
-        _write_jsonl(run_dir / "pretrain_log.jsonl", result.log)
+        result = pretrain_stage(cfg, data, spec, seed, args.out_dir)
         print(f"seed {seed}: best source-val {cfg.train.selection_metric.upper()} {result.best_val_score:.4f} at epoch {result.best_index}")
     return 0
 
 
 def cmd_adapt(cfg: ExperimentConfig, args) -> int:
-    data = prepare_data(cfg, args.out_dir)
-    spec = TaskSpec(source=args.source, target=args.target)
-    target = data.datasets[spec.target]
+    data, spec = _task(cfg, args)
     for seed in _seeds(cfg, args):
-        run_dir = _run_dir(args.out_dir, spec, seed)
-        ckpt = Path(args.checkpoint) if args.checkpoint else run_dir / "pretrain.npz"
+        ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, "pretrain")
         model, _, _ = load_checkpoint(ckpt, store=data.store)
-        result = finetune(model, strip_labels(target.train), target.val, replace(cfg.train, seed=seed))
-        save_checkpoint(run_dir / "adapted.npz", result.model, extra={"stage": "adapted", "seed": seed})
-        _write_jsonl(run_dir / "rounds.jsonl", result.log)
+        result = adapt_stage(cfg, data, spec, seed, model, args.out_dir)
         best = "n/a" if result.best_val_score is None else f"{result.best_val_score:.4f}"
         print(f"seed {seed}: best target-val {cfg.train.selection_metric.upper()} {best} at round {result.best_index}")
     return 0
 
 
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
-    data = prepare_data(cfg, args.out_dir)
-    spec = TaskSpec(source=args.source, target=args.target)
-    target = data.datasets[spec.target]
-    samples = target.val if args.split == "val" else target.test
+    data, spec = _task(cfg, args)
     rows = []
     for seed in _seeds(cfg, args):
-        run_dir = _run_dir(args.out_dir, spec, seed, variant=args.variant)
-        ckpt = Path(args.checkpoint) if args.checkpoint else _default_checkpoint(run_dir)
+        ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, variant=args.variant)
         model, _, _ = load_checkpoint(ckpt, store=data.store)
-        metrics = evaluate_model(model, samples, cfg.train.eval_batch_size)
-        rows.append(
-            {
-                "source": spec.source,
-                "target": spec.target,
-                "bpw": cfg.data.bpw,
-                "coding": cfg.data.coding,
-                "variant": args.variant,
-                "seed": seed,
-                **metrics.as_dict(),
-            }
-        )
+        metrics = evaluate_stage(cfg, data, spec, model, args.split)
+        rows.append(result_row(cfg, spec, seed, metrics, variant=args.variant))
         print(f"seed {seed}: {args.split} ACC {metrics.acc:.4f} F1 {metrics.f1:.4f}")
-    out = Path(args.out_dir) / "results" / f"evaluate_{spec.name}_{args.variant}_{args.split}.csv"
+    out = results_path(args.out_dir, f"evaluate_{spec.name}_{args.variant}_{args.split}.csv")
     write_rows_csv(rows, out)
     print(f"wrote {out}")
     return 0
 
 
-def cmd_ablate(cfg: ExperimentConfig, args) -> int:
-    seeds = _seeds(cfg, args)
-    results = run_ablation(cfg, args.source, args.target, out_dir=args.out_dir, seeds=seeds)
-    rows = [row for result in results.values() for row in result.rows]
-    csv_path = Path(args.out_dir) / "results" / f"ablation_{args.source}__{args.target}.csv"
-    write_rows_csv(rows, csv_path)
-    summary = {variant: {(args.source, args.target): result} for variant, result in results.items()}
-    md_path = Path(args.out_dir) / "results" / f"ablation_{args.source}__{args.target}.md"
-    write_markdown_summary(summary, md_path, f"Ablations {args.source}=>{args.target}")
-    for variant, result in results.items():
-        print(f"{variant}: ACC {result.mean_acc:.4f}±{result.std_acc:.4f} F1 {result.mean_f1:.4f}±{result.std_f1:.4f}")
+def _report(args, results: dict, name: str, title: str, labelled: dict[str, TaskResult]) -> int:
+    """Write the CSV and Markdown result files and print one line per labelled result."""
+    csv_path, md_path = write_results(results, args.out_dir, name, title)
+    for label, result in labelled.items():
+        print(f"{label}: ACC {result.mean_acc:.4f}±{result.std_acc:.4f} F1 {result.mean_f1:.4f}±{result.std_f1:.4f}")
     print(f"wrote {csv_path} and {md_path}")
     return 0
 
 
+def cmd_ablate(cfg: ExperimentConfig, args) -> int:
+    results = run_ablation(cfg, args.source, args.target, out_dir=args.out_dir, seeds=_seeds(cfg, args))
+    task = {variant: {(args.source, args.target): result} for variant, result in results.items()}
+    name = f"ablation_{args.source}__{args.target}"
+    return _report(args, task, name, f"Ablations {args.source}=>{args.target}", results)
+
+
 def cmd_export_features(cfg: ExperimentConfig, args) -> int:
-    data = prepare_data(cfg, args.out_dir)
-    spec = TaskSpec(source=args.source, target=args.target)
+    data, spec = _task(cfg, args)
     seed = args.seed if args.seed is not None else cfg.eval.seeds[0]
-    run_dir = _run_dir(args.out_dir, spec, seed)
-    ckpt = Path(args.checkpoint) if args.checkpoint else _default_checkpoint(run_dir)
+    ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed)
     model, _, _ = load_checkpoint(ckpt, store=data.store)
     domain = args.domain or spec.target
-    dataset = data.datasets[domain]
-    samples = {"train": dataset.train, "val": dataset.val, "test": dataset.test}[args.split]
-    out = Path(args.out) if args.out else Path(args.out_dir) / "results" / f"projection_{domain}_{args.split}.csv"
+    samples = getattr(data.domain(domain), args.split)
+    out = args.out or results_path(args.out_dir, f"projection_{domain}_{args.split}.csv")
     export_projection(model, samples, out)
     print(f"wrote {out} ({len(samples)} points)")
     return 0
 
 
 def cmd_matrix(cfg: ExperimentConfig, args) -> int:
-    seeds = _seeds(cfg, args)
-    results = run_matrix(cfg, out_dir=args.out_dir, seeds=seeds)
-    rows = [row for result in results.values() for row in result.rows]
-    csv_path = Path(args.out_dir) / "results" / "matrix.csv"
-    write_rows_csv(rows, csv_path)
-    md_path = Path(args.out_dir) / "results" / "matrix.md"
-    write_markdown_summary({"full": results}, md_path, "Cross-domain matrix")
-    for (source, target), result in results.items():
-        print(f"{source}=>{target}: ACC {result.mean_acc:.4f}±{result.std_acc:.4f} F1 {result.mean_f1:.4f}±{result.std_f1:.4f}")
-    print(f"wrote {csv_path} and {md_path}")
-    return 0
+    results = run_matrix(cfg, out_dir=args.out_dir, seeds=_seeds(cfg, args))
+    labelled = {f"{source}=>{target}": result for (source, target), result in results.items()}
+    return _report(args, {"full": results}, "matrix", "Cross-domain matrix", labelled)
 
 
 _HANDLERS = {

@@ -2,23 +2,21 @@
 
 Sections: ``data`` (domain corpora and generation knobs), ``encoder``,
 ``head``, ``train``, ``schedule`` (pseudo-label expansion), and ``eval``.
-Every knob has the package default baked in; unknown sections or keys are
-rejected so typos fail loudly.
+Each section's keys and defaults are the fields of the dataclass that holds
+it (``DataConfig``, ``EncoderConfig``, ``HeadConfig``, ``TrainConfig``,
+``EvalConfig``); unknown sections or keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 from .adapt import TrainConfig
 from .encoder import EncoderConfig
 from .head import HeadConfig
-
-_SECTIONS = ("data", "encoder", "head", "train", "schedule", "eval")
-
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -86,83 +84,52 @@ class ExperimentConfig:
         }
 
 
-def _take(section: str, raw: Mapping, allowed: Mapping[str, object]) -> dict:
-    unknown = set(raw) - set(allowed)
+# Config key -> TrainConfig field for the two ``schedule`` knobs.
+_SCHEDULE_KEYS = {"p": "expansion", "reestimate": "reestimate_pseudo_labels"}
+
+
+def _keys(cls, *not_keys: str) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls)) - set(not_keys)
+
+
+# Accepted keys per section, derived from the dataclasses that hold the
+# defaults. Seeds other than the data seed come from the run, the head's
+# input width is the encoder's, and the gate bypass is the w-FF ablation.
+_SECTION_KEYS = {
+    "data": _keys(DataConfig),
+    "encoder": _keys(EncoderConfig, "seed") | {"features_path"},
+    "head": _keys(HeadConfig, "d_h", "gate_bypass"),
+    "train": _keys(TrainConfig, "seed", *_SCHEDULE_KEYS.values()),
+    "schedule": frozenset(_SCHEDULE_KEYS),
+    "eval": _keys(EvalConfig),
+}
+
+
+def _section(raw: Mapping, name: str) -> dict:
+    section = dict(raw.get(name, {}))
+    unknown = set(section) - _SECTION_KEYS[name]
     if unknown:
-        raise ValueError(f"unknown key(s) in config section '{section}': {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(raw)
-    return merged
+        raise ValueError(f"unknown key(s) in config section '{name}': {sorted(unknown)}")
+    return section
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    unknown = set(raw) - set(_SECTIONS)
+    unknown = set(raw) - set(_SECTION_KEYS)
     if unknown:
         raise ValueError(f"unknown config section(s): {sorted(unknown)}")
-
-    data_kwargs = _take(
-        "data",
-        raw.get("data", {}),
-        {
-            "domains": {},
-            "dataset_dirs": {},
-            "lm_order": 2,
-            "alpha": 0.5,
-            "min_freq": 2,
-            "max_len": 64,
-            "train": 2000,
-            "val": 200,
-            "test": 200,
-            "bpw": 1,
-            "coding": "flc",
-            "payload_bits": (16, 48),
-            "seed": 0,
-        },
-    )
-    data = DataConfig(**data_kwargs)
-
-    enc_kwargs = _take(
-        "encoder",
-        raw.get("encoder", {}),
-        {"kind": "builtin", "d_h": 64, "freeze_policy": "after_pretrain", "features_path": None},
-    )
-    features_path = enc_kwargs.pop("features_path")
-    encoder = EncoderConfig(seed=0, **enc_kwargs)
-
-    head_kwargs = _take(
-        "head",
-        raw.get("head", {}),
-        {"hidden": 32, "layers": 1, "dropout_keep": 0.5},
-    )
-    head = HeadConfig(d_h=encoder.d_h, **head_kwargs)
-
-    train_kwargs = _take(
-        "train",
-        raw.get("train", {}),
-        {
-            "lr": 5e-5,
-            "batch_size": 16,
-            "pretrain_epochs": 50,
-            "finetune_rounds": 10,
-            "eval_batch_size": 256,
-            "selection_metric": "acc",
-        },
-    )
-    schedule_kwargs = _take("schedule", raw.get("schedule", {}), {"p": 0.1, "reestimate": True})
-    train = TrainConfig(
-        expansion=schedule_kwargs["p"],
-        reestimate_pseudo_labels=schedule_kwargs["reestimate"],
-        seed=0,
-        **train_kwargs,
-    )
-
-    eval_kwargs = _take("eval", raw.get("eval", {}), {"seeds": (0, 1, 2, 3, 4)})
+    data = DataConfig(**_section(raw, "data"))
+    encoder_kwargs = _section(raw, "encoder")
+    features_path = encoder_kwargs.pop("features_path", None)
+    encoder = EncoderConfig(**encoder_kwargs)
+    head = HeadConfig(d_h=encoder.d_h, **_section(raw, "head"))
+    schedule = {_SCHEDULE_KEYS[key]: value for key, value in _section(raw, "schedule").items()}
+    train = TrainConfig(**_section(raw, "train"), **schedule)
     return ExperimentConfig(
         data=data,
         encoder=encoder,
         head=head,
         train=train,
-        eval=EvalConfig(**eval_kwargs),
+        eval=EvalConfig(**_section(raw, "eval")),
         features_path=features_path,
     )
 

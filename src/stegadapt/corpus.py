@@ -198,17 +198,6 @@ def save_corpus(samples: Iterable[TextSample], path: str | Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def encode_samples(samples: Iterable[TextSample], vocab: Vocab, max_len: int | None = None) -> list[TextSample]:
-    """Map surface-token samples to id samples, truncating tails past ``max_len``."""
-    out = []
-    for s in samples:
-        tokens = vocab.encode(s.tokens) if s.tokens and isinstance(s.tokens[0], str) else tuple(s.tokens)
-        if max_len is not None:
-            tokens = tokens[:max_len]
-        out.append(replace(s, tokens=tokens))
-    return out
-
-
 def strip_labels(samples: Iterable[TextSample]) -> list[TextSample]:
     """Drop labels (and generation metadata) to form an unlabeled target pool."""
     return [replace(s, label=UNLABELED, bpw=None) for s in samples]

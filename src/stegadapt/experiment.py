@@ -5,6 +5,10 @@ loads the shared datasets (one vocabulary across all configured domains, one
 generated dataset per domain), pretrains on the labeled source, optionally
 adapts to the unlabeled target, and scores the target test split. Variants
 reuse identical data and seeds so comparisons isolate the ablated component.
+
+Each stage (pretrain, adapt, evaluate) is one function that the runners here
+and the CLI share, and this module alone lays out and writes the run
+directories and result files.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .model import Classifier, config_hash, save_checkpoint
 from .stegogen import build_domain_dataset, write_manifest
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
+SLB_LAYERS = 2  # Bi-LSTM layers of the stacked-LSTM (w-SLB) variant
 CSV_COLUMNS = ("source", "target", "bpw", "coding", "variant", "seed", "acc", "f1", "tp", "fp", "tn", "fn", "n")
+_STAGE_LOGS = {"pretrain": "pretrain_log.jsonl", "adapted": "rounds.jsonl"}  # stage -> its log file
 
 
 @dataclass(frozen=True)
@@ -35,15 +41,12 @@ class TaskSpec:
     source: str
     target: str
     ablation: str = "none"
-    slb_layers: int = 2
 
     def __post_init__(self):
         if self.source == self.target:
             raise ValueError("source and target domains must differ")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.slb_layers < 2:
-            raise ValueError("the stacked-LSTM variant needs at least 2 layers")
 
     @property
     def name(self) -> str:
@@ -55,6 +58,15 @@ class TaskData:
     vocab: Vocab | None
     datasets: dict[str, DomainDataset]
     store: dict[str, np.ndarray] | None = None
+
+    def domain(self, tag: str) -> DomainDataset:
+        if tag not in self.datasets:
+            raise ValueError(f"unknown domain tag {tag!r}; the config defines {sorted(self.datasets)}")
+        return self.datasets[tag]
+
+    def task(self, spec: TaskSpec) -> tuple[DomainDataset, DomainDataset]:
+        """The source and target datasets; an unknown tag raises ``ValueError``."""
+        return self.domain(spec.source), self.domain(spec.target)
 
 
 @dataclass
@@ -86,34 +98,33 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
 
     One vocabulary is built over the union of all domain corpora so token
     ids mean the same thing on both sides of every task; each domain then
-    gets its own language model and generated dataset.
+    gets its own language model and generated dataset. Generated domains
+    come from the cache when it is complete; every other step is the same
+    for a cold and a warm cache.
     """
     from .corpus import build_vocab, tokenize
 
-    tags = cfg.data.domain_tags()
+    datasets: dict[str, DomainDataset] = {}
+    vocab: Vocab | None = None
+    for tag, dirname in sorted(cfg.data.dataset_dirs.items()):
+        directory = Path(dirname)
+        datasets[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl")
+        vocab_file = directory / "vocab.json"
+        if vocab_file.exists():
+            loaded = Vocab.from_json(vocab_file.read_text(encoding="utf-8"))
+            if vocab is not None and loaded.id_to_token != vocab.id_to_token:
+                raise CorpusError("dataset_dirs disagree on the vocabulary")
+            vocab = loaded
+
+    generated_tags = [t for t in cfg.data.domain_tags() if t not in datasets]
     cache_root = None
     if cache_dir is not None:
         cache_root = Path(cache_dir) / "data" / config_hash(cfg.data_fingerprint())[:16]
-
-    if cache_root is not None and (cache_root / "COMPLETE").exists():
-        return _load_cached(cfg, cache_root, tags)
-
-    datasets: dict[str, DomainDataset] = {}
-    vocab: Vocab | None = None
-    preloaded: dict[str, DomainDataset] = {}
-    for tag in tags:
-        if tag in cfg.data.dataset_dirs:
-            directory = Path(cfg.data.dataset_dirs[tag])
-            preloaded[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl")
-            vocab_file = directory / "vocab.json"
-            if vocab_file.exists():
-                loaded = Vocab.from_json(vocab_file.read_text(encoding="utf-8"))
-                if vocab is not None and loaded.id_to_token != vocab.id_to_token:
-                    raise CorpusError("dataset_dirs disagree on the vocabulary")
-                vocab = loaded
-
-    generated_tags = [t for t in tags if t not in preloaded]
-    if generated_tags:
+    if generated_tags and cache_root is not None and (cache_root / "COMPLETE").exists():
+        vocab = Vocab.from_json((cache_root / "vocab.json").read_text(encoding="utf-8"))
+        for tag in generated_tags:
+            datasets[tag] = dataset_from_jsonl(cache_root / tag / "samples.jsonl", cache_root / tag / "splits.jsonl")
+    elif generated_tags:
         if vocab is None:
             texts = []
             for tag in generated_tags:
@@ -148,27 +159,11 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
                 write_manifest(manifests[tag], tag_dir / "manifest.json")
             (cache_root / "COMPLETE").write_text("ok\n", encoding="utf-8")
 
-    datasets.update(preloaded)
     store = None
     if cfg.features_path is not None:
         store, d_h = load_precomputed(cfg.features_path)
         if d_h is not None and d_h != cfg.encoder.d_h:
             raise CorpusError(f"feature store width {d_h} != configured d_h {cfg.encoder.d_h}")
-    return TaskData(vocab=vocab, datasets=datasets, store=store)
-
-
-def _load_cached(cfg: ExperimentConfig, cache_root: Path, tags: Sequence[str]) -> TaskData:
-    vocab = Vocab.from_json((cache_root / "vocab.json").read_text(encoding="utf-8"))
-    datasets = {}
-    for tag in tags:
-        if tag in cfg.data.dataset_dirs:
-            directory = Path(cfg.data.dataset_dirs[tag])
-        else:
-            directory = cache_root / tag
-        datasets[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl")
-    store = None
-    if cfg.features_path is not None:
-        store, _ = load_precomputed(cfg.features_path)
     return TaskData(vocab=vocab, datasets=datasets, store=store)
 
 
@@ -181,7 +176,7 @@ def head_config_for(cfg: ExperimentConfig, spec: TaskSpec) -> HeadConfig:
     if spec.ablation == "w-FF":
         return replace(cfg.head, gate_bypass=True)
     if spec.ablation == "w-SLB":
-        return replace(cfg.head, layers=spec.slb_layers)
+        return replace(cfg.head, layers=SLB_LAYERS)
     return cfg.head
 
 
@@ -193,6 +188,64 @@ def build_model(cfg: ExperimentConfig, data: TaskData, spec: TaskSpec, seed: int
     )
 
 
+def checkpoint_path(
+    out_dir: str | Path, spec: TaskSpec, seed: int, stage: str | None = None, variant: str | None = None
+) -> Path:
+    """``<out_dir>/runs/<source>__<target>/<variant>/seed<k>/<stage>.npz``, where a run's files live.
+
+    The variant defaults to the ablation, the stage to ``adapted`` if that
+    checkpoint exists and ``pretrain`` otherwise.
+    """
+    directory = Path(out_dir) / "runs" / spec.name / (variant or spec.ablation) / f"seed{seed}"
+    if stage is None:
+        stage = "adapted" if (directory / "adapted.npz").exists() else "pretrain"
+    return directory / f"{stage}.npz"
+
+
+def _save_stage(out_dir: str | Path | None, spec: TaskSpec, seed: int, stage: str, result: TrainResult) -> None:
+    """Write a stage's checkpoint and log into the run directory, if there is one."""
+    if out_dir is None:
+        return
+    path = checkpoint_path(out_dir, spec, seed, stage)
+    save_checkpoint(path, result.model, extra={"stage": stage, "seed": seed, "variant": spec.ablation})
+    with open(path.with_name(_STAGE_LOGS[stage]), "w", encoding="utf-8") as fh:
+        for rec in result.log:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def pretrain_stage(
+    cfg: ExperimentConfig, data: TaskData, spec: TaskSpec, seed: int, out_dir: str | Path | None = None
+) -> TrainResult:
+    """Stage 1: a fresh model trained on the labeled source domain."""
+    source, _ = data.task(spec)
+    result = pretrain(build_model(cfg, data, spec, seed), source.train, source.val, replace(cfg.train, seed=seed))
+    _save_stage(out_dir, spec, seed, "pretrain", result)
+    return result
+
+
+def adapt_stage(
+    cfg: ExperimentConfig,
+    data: TaskData,
+    spec: TaskSpec,
+    seed: int,
+    model: Classifier,
+    out_dir: str | Path | None = None,
+) -> TrainResult:
+    """Stage 2: pseudo-label self-training of ``model`` on the unlabeled target domain."""
+    _, target = data.task(spec)
+    result = finetune(model, strip_labels(target.train), target.val, replace(cfg.train, seed=seed))
+    _save_stage(out_dir, spec, seed, "adapted", result)
+    return result
+
+
+def evaluate_stage(
+    cfg: ExperimentConfig, data: TaskData, spec: TaskSpec, model: Classifier, split: str = "test"
+) -> Metrics:
+    """Score ``model`` on the target domain's ``val`` or ``test`` split."""
+    _, target = data.task(spec)
+    return evaluate_model(model, getattr(target, split), cfg.train.eval_batch_size)
+
+
 def run_seed(
     cfg: ExperimentConfig,
     data: TaskData,
@@ -200,61 +253,26 @@ def run_seed(
     seed: int,
     artifacts_dir: str | Path | None = None,
 ) -> SeedOutcome:
-    source = data.datasets[spec.source]
-    target = data.datasets[spec.target]
-    train_cfg = replace(cfg.train, seed=seed)
-    model = build_model(cfg, data, spec, seed)
-    pre = pretrain(model, source.train, source.val, train_cfg)
-    if spec.ablation == "w-PL":
-        adapt_result = None
-        final = pre.model
-    else:
-        adapt_result = finetune(pre.model, strip_labels(target.train), target.val, train_cfg)
-        final = adapt_result.model
-    test_metrics = evaluate_model(final, target.test, cfg.train.eval_batch_size)
-    outcome = SeedOutcome(
+    pre = pretrain_stage(cfg, data, spec, seed, artifacts_dir)
+    adapt_result = None if spec.ablation == "w-PL" else adapt_stage(cfg, data, spec, seed, pre.model, artifacts_dir)
+    final = pre.model if adapt_result is None else adapt_result.model
+    return SeedOutcome(
         seed=seed,
         pretrain_result=pre,
         adapt_result=adapt_result,
         final_model=final,
-        test_metrics=test_metrics,
+        test_metrics=evaluate_stage(cfg, data, spec, final),
     )
-    if artifacts_dir is not None:
-        _write_run_artifacts(Path(artifacts_dir), cfg, spec, outcome)
-    return outcome
 
 
-def _write_run_artifacts(root: Path, cfg: ExperimentConfig, spec: TaskSpec, outcome: SeedOutcome) -> None:
-    run_dir = root / "runs" / spec.name / spec.ablation / f"seed{outcome.seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        run_dir / "pretrain.npz",
-        outcome.pretrain_result.model,
-        extra={"stage": "pretrain", "seed": outcome.seed, "variant": spec.ablation},
-    )
-    _write_jsonl(run_dir / "pretrain_log.jsonl", outcome.pretrain_result.log)
-    if outcome.adapt_result is not None:
-        save_checkpoint(
-            run_dir / "adapted.npz",
-            outcome.adapt_result.model,
-            extra={"stage": "adapted", "seed": outcome.seed, "variant": spec.ablation},
-        )
-        _write_jsonl(run_dir / "rounds.jsonl", outcome.adapt_result.log)
-
-
-def _write_jsonl(path: Path, records: Sequence[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def _row(cfg: ExperimentConfig, spec: TaskSpec, seed: int, metrics: Metrics) -> dict:
+def result_row(cfg: ExperimentConfig, spec: TaskSpec, seed: int, metrics: Metrics, variant: str | None = None) -> dict:
+    """One CSV row; the variant label defaults to the ablation."""
     return {
         "source": spec.source,
         "target": spec.target,
         "bpw": cfg.data.bpw,
         "coding": cfg.data.coding,
-        "variant": spec.ablation,
+        "variant": variant or spec.ablation,
         "seed": seed,
         **metrics.as_dict(),
     }
@@ -282,10 +300,7 @@ def run_task(
     if data is None:
         data = prepare_data(cfg, out_dir)
     seeds = list(cfg.eval.seeds if seeds is None else seeds)
-    rows = []
-    for seed in seeds:
-        outcome = run_seed(cfg, data, spec, seed, artifacts_dir=out_dir)
-        rows.append(_row(cfg, spec, seed, outcome.test_metrics))
+    rows = [result_row(cfg, spec, seed, run_seed(cfg, data, spec, seed, out_dir).test_metrics) for seed in seeds]
     return _aggregate(spec, rows)
 
 
@@ -309,23 +324,16 @@ def run_ablation(
     specs = {name: TaskSpec(source=source, target=target, ablation=name) for name in ABLATIONS}
     rows: dict[str, list[dict]] = {name: [] for name in ABLATIONS}
     for seed in seeds:
-        full = run_seed(cfg, data, specs["none"], seed, artifacts_dir=out_dir)
-        rows["none"].append(_row(cfg, specs["none"], seed, full.test_metrics))
+        full = run_seed(cfg, data, specs["none"], seed, out_dir)
+        rows["none"].append(result_row(cfg, specs["none"], seed, full.test_metrics))
 
-        wpl_model = full.pretrain_result.model
-        wpl_metrics = evaluate_model(wpl_model, data.datasets[target].test, cfg.train.eval_batch_size)
-        rows["w-PL"].append(_row(cfg, specs["w-PL"], seed, wpl_metrics))
-        if out_dir is not None:
-            _write_run_artifacts(
-                Path(out_dir),
-                cfg,
-                specs["w-PL"],
-                SeedOutcome(seed, full.pretrain_result, None, wpl_model, wpl_metrics),
-            )
+        _save_stage(out_dir, specs["w-PL"], seed, "pretrain", full.pretrain_result)
+        wpl_metrics = evaluate_stage(cfg, data, specs["w-PL"], full.pretrain_result.model)
+        rows["w-PL"].append(result_row(cfg, specs["w-PL"], seed, wpl_metrics))
 
         for name in ("w-FF", "w-SLB"):
-            outcome = run_seed(cfg, data, specs[name], seed, artifacts_dir=out_dir)
-            rows[name].append(_row(cfg, specs[name], seed, outcome.test_metrics))
+            outcome = run_seed(cfg, data, specs[name], seed, out_dir)
+            rows[name].append(result_row(cfg, specs[name], seed, outcome.test_metrics))
     return {name: _aggregate(specs[name], rows[name]) for name in ABLATIONS}
 
 
@@ -348,24 +356,26 @@ def run_matrix(
     return results
 
 
-def ablation_component_hashes(cfg: ExperimentConfig, source: str, target: str) -> dict[str, dict[str, str]]:
-    """Per-variant component config hashes; variants differ only in their own knob."""
-    hashes = {}
-    for name in ABLATIONS:
-        spec = TaskSpec(source=source, target=target, ablation=name)
-        hashes[name] = {
-            "head": config_hash(head_config_for(cfg, spec).to_dict()),
-            "encoder": config_hash(
-                {"kind": cfg.encoder.kind, "d_h": cfg.encoder.d_h, "freeze_policy": cfg.encoder.freeze_policy}
-            ),
-            "adapts": str(name != "w-PL"),
-        }
-    return hashes
-
-
 # ---------------------------------------------------------------------------
 # Result files
 # ---------------------------------------------------------------------------
+
+
+def results_path(out_dir: str | Path, filename: str) -> Path:
+    return Path(out_dir) / "results" / filename
+
+
+def write_results(
+    results: Mapping[str, Mapping[tuple[str, str], TaskResult]], out_dir: str | Path, name: str, title: str
+) -> tuple[Path, Path]:
+    """Every row to ``results/<name>.csv`` and the summary table to ``results/<name>.md``.
+
+    ``results`` maps variant name to {(source, target): TaskResult}.
+    """
+    csv_path, md_path = results_path(out_dir, f"{name}.csv"), results_path(out_dir, f"{name}.md")
+    write_rows_csv([row for per_task in results.values() for result in per_task.values() for row in result.rows], csv_path)
+    write_markdown_summary(results, md_path, title)
+    return csv_path, md_path
 
 
 def write_rows_csv(rows: Sequence[Mapping], path: str | Path) -> None:

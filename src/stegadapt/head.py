@@ -40,15 +40,6 @@ class HeadConfig:
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError("dropout_keep must be in (0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "d_h": self.d_h,
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "gate_bypass": self.gate_bypass,
-            "dropout_keep": self.dropout_keep,
-        }
-
 
 @dataclass
 class HeadParams:
@@ -427,27 +418,6 @@ def backward_batch(
         d_upper = dx[0] + _reverse_padded(dx[1], trace.lengths)
     d_features = d_upper * trace.mask[..., None]
     return grads, d_features
-
-
-def backward(
-    trace: ForwardTrace | BatchTrace,
-    features: np.ndarray,
-    params: HeadParams,
-    label,
-) -> dict[str, np.ndarray]:
-    """Single-sample convenience wrapper.
-
-    A :class:`ForwardTrace` carries no recurrence caches, so the batched
-    trace is recomputed in eval mode (dropout free); pass a
-    :class:`BatchTrace` to differentiate an actual training-mode pass.
-    """
-    if isinstance(trace, BatchTrace):
-        grads, _ = backward_batch(trace, label, params)
-        return grads
-    features = np.asarray(features, dtype=np.float64)
-    batch_trace = forward_batch(features[None], np.array([features.shape[0]]), params, mode="eval")
-    grads, _ = backward_batch(batch_trace, [label], params)
-    return grads
 
 
 # ---------------------------------------------------------------------------

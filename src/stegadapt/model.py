@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -45,13 +46,7 @@ class Classifier:
     ) -> "Classifier":
         if head_config.d_h != encoder_config.d_h:
             raise ValueError("encoder and head disagree on d_h")
-        enc_cfg = EncoderConfig(
-            kind=encoder_config.kind,
-            d_h=encoder_config.d_h,
-            freeze_policy=encoder_config.freeze_policy,
-            seed=seed,
-        )
-        encoder = make_encoder(enc_cfg, vocab_size=vocab_size, store=store)
+        encoder = make_encoder(replace(encoder_config, seed=seed), vocab_size=vocab_size, store=store)
         head = init_params(
             head_config.d_h,
             head_config.hidden,
@@ -103,7 +98,7 @@ class Classifier:
             "encoder": config_hash(
                 {"kind": enc.kind, "d_h": enc.d_h, "freeze_policy": enc.freeze_policy}
             ),
-            "head": config_hash(self.head.config.to_dict()),
+            "head": config_hash(asdict(self.head.config)),
         }
 
 
@@ -126,13 +121,8 @@ def save_checkpoint(
     enc = model.encoder
     meta = {
         "version": CHECKPOINT_VERSION,
-        "head_config": model.head.config.to_dict(),
-        "encoder_config": {
-            "kind": enc.config.kind,
-            "d_h": enc.config.d_h,
-            "freeze_policy": enc.config.freeze_policy,
-            "seed": enc.config.seed,
-        },
+        "head_config": asdict(model.head.config),
+        "encoder_config": asdict(enc.config),
         "vocab_size": getattr(enc, "vocab_size", None),
         "hashes": model.component_hashes(),
         "adam_step": optimizer.step if optimizer else None,
@@ -147,8 +137,16 @@ def save_checkpoint(
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # Write beside the target and rename, so an interrupted save never leaves
+    # a truncated archive under the checkpoint's name.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classifier, AdamState | None, dict]:

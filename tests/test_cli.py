@@ -111,3 +111,21 @@ def test_unknown_config_key_reports_error(tmp_path, capsys):
     code = main(["gen-data", "-c", str(config), "--out-dir", str(tmp_path)])
     assert code == 1
     assert "typo_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pretrain", "--source", "X", "--target", "F"),
+        ("pretrain", "--source", "S", "--target", "X"),
+        ("adapt", "--source", "S", "--target", "X"),
+        ("evaluate", "--source", "S", "--target", "X"),
+    ],
+)
+def test_unknown_domain_tag_reports_error(workspace, capsys, argv):
+    tmp, config = workspace
+    out = tmp / "out"
+    assert _run(config, out, *argv, "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'X'" in err and "['F', 'S']" in err
+    assert not (out / "runs").exists()

@@ -1,0 +1,102 @@
+from __future__ import annotations
+
+import json
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from stegadapt.adapt import TrainConfig
+from stegadapt.config import DataConfig, EvalConfig, ExperimentConfig, config_from_dict, load_config
+from stegadapt.encoder import EncoderConfig
+from stegadapt.head import HeadConfig
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# Every accepted key of every section, each set away from its default.
+EVERY_KEY = {
+    "data": {
+        "domains": {"A": "a.txt"},
+        "dataset_dirs": {"B": "b"},
+        "lm_order": 1,
+        "alpha": 0.25,
+        "min_freq": 1,
+        "max_len": 10,
+        "train": 5,
+        "val": 2,
+        "test": 3,
+        "bpw": 2,
+        "coding": "vlc",
+        "payload_bits": [2, 6],
+        "seed": 3,
+    },
+    "encoder": {"kind": "precomputed", "d_h": 8, "freeze_policy": "always", "features_path": "f.jsonl"},
+    "head": {"hidden": 4, "layers": 2, "dropout_keep": 0.75},
+    "train": {
+        "lr": 0.01,
+        "batch_size": 4,
+        "pretrain_epochs": 3,
+        "finetune_rounds": 2,
+        "eval_batch_size": 32,
+        "selection_metric": "f1",
+    },
+    "schedule": {"p": 0.25, "reestimate": False},
+    "eval": {"seeds": [7, 8]},
+}
+SECTION_CLASSES = {
+    "data": DataConfig,
+    "encoder": EncoderConfig,
+    "head": HeadConfig,
+    "train": TrainConfig,
+    "schedule": TrainConfig,
+    "eval": EvalConfig,
+}
+
+
+def test_bundled_configs_load():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert {p.name for p in paths} >= {"desk.json", "quick.json"}
+    for path in paths:
+        cfg = load_config(path)
+        assert cfg.data.domain_tags() == sorted(json.loads(path.read_text())["data"]["domains"])
+
+
+def test_every_key_maps_to_its_field():
+    assert config_from_dict(EVERY_KEY) == ExperimentConfig(
+        data=DataConfig(
+            domains={"A": "a.txt"}, dataset_dirs={"B": "b"}, lm_order=1, alpha=0.25, min_freq=1, max_len=10,
+            train=5, val=2, test=3, bpw=2, coding="vlc", payload_bits=(2, 6), seed=3,
+        ),
+        encoder=EncoderConfig(kind="precomputed", d_h=8, freeze_policy="always"),
+        head=HeadConfig(d_h=8, hidden=4, layers=2, dropout_keep=0.75),
+        train=TrainConfig(
+            lr=0.01, batch_size=4, pretrain_epochs=3, finetune_rounds=2, eval_batch_size=32,
+            selection_metric="f1", expansion=0.25, reestimate_pseudo_labels=False,
+        ),
+        eval=EvalConfig(seeds=(7, 8)),
+        features_path="f.jsonl",
+    )
+
+
+@pytest.mark.parametrize("section", sorted(EVERY_KEY))
+def test_section_rejects_every_other_field_name(section):
+    others = {f.name for f in fields(SECTION_CLASSES[section])} - set(EVERY_KEY[section])
+    for name in sorted(others | {"typo_key"}):
+        raw = {**EVERY_KEY, section: {**EVERY_KEY[section], name: 1}}
+        with pytest.raises(ValueError, match=f"unknown key\\(s\\) in config section '{section}': \\['{name}'\\]"):
+            config_from_dict(raw)
+
+
+def test_unknown_section_rejected():
+    with pytest.raises(ValueError, match="unknown config section"):
+        config_from_dict({**EVERY_KEY, "optimizer": {}})
+
+
+def test_data_only_config_takes_the_dataclass_defaults():
+    assert config_from_dict({"data": {"domains": {"A": "a.txt"}}}) == ExperimentConfig(
+        data=DataConfig(domains={"A": "a.txt"}),
+        encoder=EncoderConfig(),
+        head=HeadConfig(),
+        train=TrainConfig(),
+        eval=EvalConfig(),
+    )

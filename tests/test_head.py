@@ -9,7 +9,6 @@ from stegadapt.head import (
     HeadConfig,
     HeadParams,
     adam_step,
-    backward,
     backward_batch,
     batch_loss_ce,
     forward,
@@ -248,16 +247,6 @@ def test_gate_bypass_gradients_are_zero_for_gate():
     grads, _ = backward_batch(trace, labels, bypass)
     np.testing.assert_array_equal(grads["gate.w"], 0.0)
     np.testing.assert_array_equal(grads["gate.b"], 0.0)
-
-
-def test_single_sample_backward_wrapper():
-    params, feats, labels = _random_instance(9, n=1)
-    grads = backward(forward(feats[0], params), feats[0], params, labels[0])
-    padded, lengths = _pad(feats[:1])
-    trace = forward_batch(padded, lengths, params)
-    expected, _ = backward_batch(trace, labels[:1], params)
-    for key in expected:
-        np.testing.assert_allclose(grads[key], expected[key], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,22 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert opt is None and meta["adam_step"] is None
 
 
+def test_interrupted_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "adapted.npz"
+    save_checkpoint(path, _model(seed=1))
+    before = path.read_bytes()
+
+    def savez_fails_partway(fh, **arrays):
+        fh.write(b"PK\x03\x04 truncated")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_fails_partway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _model(seed=2))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adapted.npz"]
+
+
 def test_component_hashes_isolate_ablated_field():
     base = _model(seed=0)
     gated_off = _model(seed=0, gate_bypass=True)
