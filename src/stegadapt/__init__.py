@@ -10,7 +10,6 @@ an unlabeled target domain by progressive pseudo-label self-training.
 from .adapt import (
     PseudoLabel,
     PseudoPool,
-    Schedule,
     TrainConfig,
     estimate_pseudo_labels,
     evaluate_model,

@@ -72,14 +72,6 @@ class PseudoPool:
         return {e.sample_id: e.label for e in self.entries}
 
 
-@dataclass(frozen=True)
-class Schedule:
-    expansion: float
-    base: int
-    rounds: int
-    sizes: tuple[int, ...]
-
-
 @dataclass
 class TrainResult:
     model: Classifier
@@ -88,7 +80,7 @@ class TrainResult:
     best_val_score: float | None
 
 
-def schedule_sizes(expansion: float, n_target: int, rounds: int) -> Schedule:
+def schedule_sizes(expansion: float, n_target: int, rounds: int) -> tuple[int, ...]:
     """Progressive pseudo-label budget: grow by ceil(expansion * n_target), capped.
 
     The per-round step snaps float noise away before the ceiling so exact
@@ -106,7 +98,7 @@ def schedule_sizes(expansion: float, n_target: int, rounds: int) -> Schedule:
     for _ in range(rounds):
         m = min(n_target, m + step)
         sizes.append(m)
-    return Schedule(expansion=expansion, base=n_target, rounds=rounds, sizes=tuple(sizes))
+    return tuple(sizes)
 
 
 def estimate_pseudo_labels(model: Classifier, samples: Sequence[TextSample], batch_size: int = 256) -> PseudoPool:
@@ -272,7 +264,7 @@ def finetune(
     previous_labels: dict[str, int] | None = None
     first_pool: PseudoPool | None = None
     log: list[dict] = []
-    for round_idx, m_t in enumerate(schedule.sizes, start=1):
+    for round_idx, m_t in enumerate(schedule, start=1):
         if cfg.reestimate_pseudo_labels or first_pool is None:
             pool = estimate_pseudo_labels(work, target_pool, cfg.eval_batch_size)
             if first_pool is None:

@@ -4,13 +4,14 @@ Sections: ``data`` (domain corpora and generation knobs), ``encoder``,
 ``head``, ``train``, ``schedule`` (pseudo-label expansion), and ``eval``.
 Each section's keys and defaults are the fields of the dataclass that holds
 it (``DataConfig``, ``EncoderConfig``, ``HeadConfig``, ``TrainConfig``,
-``EvalConfig``); unknown sections or keys are rejected so typos fail loudly.
+``EvalConfig``); unknown sections or keys, and values whose type differs from
+the field's default, are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -68,53 +69,65 @@ class ExperimentConfig:
     eval: EvalConfig
     features_path: str | None = None
 
-    def data_fingerprint(self) -> dict:
-        return {
-            "domains": dict(sorted(self.data.domains.items())),
-            "dataset_dirs": dict(sorted(self.data.dataset_dirs.items())),
-            "lm_order": self.data.lm_order,
-            "alpha": self.data.alpha,
-            "min_freq": self.data.min_freq,
-            "max_len": self.data.max_len,
-            "sizes": self.data.sizes,
-            "bpw": self.data.bpw,
-            "coding": self.data.coding,
-            "payload_bits": list(self.data.payload_bits),
-            "seed": self.data.seed,
-        }
-
 
 # Config key -> TrainConfig field for the two ``schedule`` knobs.
 _SCHEDULE_KEYS = {"p": "expansion", "reestimate": "reestimate_pseudo_labels"}
 
 
-def _keys(cls, *not_keys: str) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls)) - set(not_keys)
+def _defaults(cls, *not_keys: str) -> dict:
+    return {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+        if f.name not in not_keys
+    }
 
 
-# Accepted keys per section, derived from the dataclasses that hold the
-# defaults. Seeds other than the data seed come from the run, the head's
+# Accepted keys per section and their defaults, from the dataclasses that
+# hold them. Seeds other than the data seed come from the run, the head's
 # input width is the encoder's, and the gate bypass is the w-FF ablation.
-_SECTION_KEYS = {
-    "data": _keys(DataConfig),
-    "encoder": _keys(EncoderConfig, "seed") | {"features_path"},
-    "head": _keys(HeadConfig, "d_h", "gate_bypass"),
-    "train": _keys(TrainConfig, "seed", *_SCHEDULE_KEYS.values()),
-    "schedule": frozenset(_SCHEDULE_KEYS),
-    "eval": _keys(EvalConfig),
+_SECTION_DEFAULTS = {
+    "data": _defaults(DataConfig),
+    "encoder": _defaults(EncoderConfig, "seed") | {"features_path": None},
+    "head": _defaults(HeadConfig, "d_h", "gate_bypass"),
+    "train": _defaults(TrainConfig, "seed", *_SCHEDULE_KEYS.values()),
+    "schedule": {key: getattr(TrainConfig, name) for key, name in _SCHEDULE_KEYS.items()},
+    "eval": _defaults(EvalConfig),
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of a field's default; a ``None`` default takes a string."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+    return isinstance(value, type(default))
+
+
 def _section(raw: Mapping, name: str) -> dict:
-    section = dict(raw.get(name, {}))
-    unknown = set(section) - _SECTION_KEYS[name]
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section '{name}' must be an object, got {section!r}")
+    defaults = _SECTION_DEFAULTS[name]
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ValueError(f"unknown key(s) in config section '{name}': {sorted(unknown)}")
-    return section
+    for key, value in section.items():
+        if not _fits(value, defaults[key]):
+            raise ValueError(
+                f"config key '{key}' in section '{name}' has the wrong type: {value!r} (default {defaults[key]!r})"
+            )
+    return dict(section)
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    unknown = set(raw) - set(_SECTION_KEYS)
+    unknown = set(raw) - set(_SECTION_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config section(s): {sorted(unknown)}")
     data = DataConfig(**_section(raw, "data"))

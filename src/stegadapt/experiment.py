@@ -13,15 +13,16 @@ directories and result files.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .adapt import TrainResult, evaluate_model, finetune, pretrain
-from .config import ExperimentConfig
+from .config import DataConfig, ExperimentConfig
 from .corpus import DomainDataset, TextSample, Vocab, dataset_from_jsonl, dataset_to_jsonl, strip_labels
 from .encoder import load_precomputed
 from .errors import CorpusError
@@ -93,6 +94,14 @@ class TaskResult:
 # ---------------------------------------------------------------------------
 
 
+def _data_key(data: DataConfig) -> str:
+    """Cache key: the data section plus the SHA-256 of every corpus and ``dataset_dirs`` file it reads."""
+    paths = [Path(corpus) for corpus in data.domains.values()]
+    paths += [path for dirname in data.dataset_dirs.values() for path in Path(dirname).iterdir() if path.is_file()]
+    files = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    return config_hash({**asdict(data), "file_sha256": files})[:16]
+
+
 def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> TaskData:
     """Build (or load from cache) every configured domain dataset.
 
@@ -118,9 +127,9 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
 
     generated_tags = [t for t in cfg.data.domain_tags() if t not in datasets]
     cache_root = None
-    if cache_dir is not None:
-        cache_root = Path(cache_dir) / "data" / config_hash(cfg.data_fingerprint())[:16]
-    if generated_tags and cache_root is not None and (cache_root / "COMPLETE").exists():
+    if generated_tags and cache_dir is not None:
+        cache_root = Path(cache_dir) / "data" / _data_key(cfg.data)
+    if cache_root is not None and (cache_root / "COMPLETE").exists():
         vocab = Vocab.from_json((cache_root / "vocab.json").read_text(encoding="utf-8"))
         for tag in generated_tags:
             datasets[tag] = dataset_from_jsonl(cache_root / tag / "samples.jsonl", cache_root / tag / "splits.jsonl")

@@ -1,11 +1,11 @@
 """Cover and stego text generation over a Markov language model.
 
 The language model is an order-k token chain with additive smoothing. Covers
-are ancestral samples; stego texts hide payload bits in the choice among the
-top-2^bpw next-token candidates at each step, using either fixed-length
-indexing (FLC) or a Huffman code over the candidate pool (VLC). Extraction
-replays the candidate construction, so embedding never needs randomness while
-bits remain and round-trips are exact.
+are ancestral samples. At each stego step one code maps the top-2^k next-token
+candidates (k <= bpw) to bits: fixed-length big-endian indices (FLC) or a
+Huffman code over the pool (VLC). Embedding emits the candidate whose code the
+payload spells; extraction rebuilds that code and reads the token's bits back,
+so embedding needs no randomness while bits remain and round-trips are exact.
 """
 
 from __future__ import annotations
@@ -163,16 +163,18 @@ def fit_lm(sequences: Iterable[Sequence[int]], vocab: Vocab, order: int = 2, alp
     return lm
 
 
-def sample_cover(lm: MarkovLM, max_len: int, seed) -> tuple[int, ...]:
-    """Ancestral sample until EOS or ``max_len`` tokens; deterministic by seed."""
-    rng = np.random.default_rng(seed)
-    out: list[int] = []
-    while len(out) < max_len:
-        tok = lm.sample_next(out, rng)
+def _sample(lm: MarkovLM, tokens: list[int], max_len: int, rng: np.random.Generator) -> tuple[int, ...]:
+    while len(tokens) < max_len:
+        tok = lm.sample_next(tokens, rng)
         if tok == EOS:
             break
-        out.append(tok)
-    return tuple(out)
+        tokens.append(tok)
+    return tuple(tokens)
+
+
+def sample_cover(lm: MarkovLM, max_len: int, seed) -> tuple[int, ...]:
+    """Ancestral sample until EOS or ``max_len`` tokens; deterministic by seed."""
+    return _sample(lm, [], max_len, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +192,11 @@ class StegoResult:
     degraded_steps: int
 
 
-def _check_bpw(bpw: int) -> None:
+def _check_codec(bpw: int, coding: str) -> None:
     if not 1 <= bpw <= 5:
         raise ValueError(f"bpw must be in 1..5, got {bpw}")
-
-
-def _floor_log2(n: int) -> int:
-    return n.bit_length() - 1
+    if coding not in CODINGS:
+        raise ValueError(f"coding must be one of {CODINGS}, got {coding!r}")
 
 
 class _Node:
@@ -245,48 +245,62 @@ def huffman_codebook(ids: Sequence[int], probs: Sequence[float]) -> dict[int, tu
     return codes
 
 
-def _pool_for_step(lm: MarkovLM, history: Sequence[int], bpw: int) -> tuple[list[int], int, bool]:
-    """Candidate pool of power-of-two size.
+# Entry k: the big-endian k-bit codes of 0 .. 2^k - 1, for every pool size up to 2^5.
+_FLC_CODES = tuple(
+    tuple(tuple((i >> (k - 1 - j)) & 1 for j in range(k)) for i in range(1 << k)) for k in range(6)
+)
 
-    Returns (pool, pool_bits, degraded); ``degraded`` marks steps where fewer
-    than 2^bpw candidates existed.
+
+def _step_code(
+    lm: MarkovLM, history: Sequence[int], bpw: int, coding: str, bits_left: int
+) -> tuple[dict[int, tuple[int, ...]], bool]:
+    """``({token: code}, degraded)`` for the top ``2^k`` candidates, k = min(bpw, floor(log2 #cands)).
+
+    FLC codes the ``i``-th candidate as big-endian ``i`` in ``min(k, bits_left)``
+    bits; VLC codes each by Huffman over its renormalized LM probability.
+    ``degraded`` marks steps with fewer than ``2^bpw`` candidates.
     """
     cands = lm.ranked_candidates(history, 1 << bpw, exclude_eos=True)
     if not cands:
         raise ValueError("no embedding candidates in this context")
-    pool_bits = min(bpw, _floor_log2(len(cands)))
-    return cands[: 1 << pool_bits], pool_bits, (len(cands) < (1 << bpw))
+    k = min(bpw, len(cands).bit_length() - 1)
+    degraded = len(cands) < (1 << bpw)
+    if coding == "flc":
+        return dict(zip(cands, _FLC_CODES[min(k, bits_left)])), degraded
+    pool = cands[: 1 << k]
+    probs = lm.step_probs(history, pool)
+    return huffman_codebook(pool, probs / probs.sum()), degraded
+
+
+def _embed(lm: MarkovLM, payload: Sequence[int], bpw: int, coding: str, max_len: int, seed) -> StegoResult:
+    _check_codec(bpw, coding)
+    payload = [int(b) for b in payload]
+    if any(b not in (0, 1) for b in payload):
+        raise ValueError("payload must be 0/1 bits")
+    tokens: list[int] = []
+    pos = steps = degraded = 0
+    while len(tokens) < max_len and pos < len(payload):
+        codes, was_degraded = _step_code(lm, tokens, bpw, coding, len(payload) - pos)
+        by_code = {code: tok for tok, code in codes.items()}
+        prefix: tuple[int, ...] = ()
+        while prefix not in by_code:
+            prefix += (payload[pos] if pos < len(payload) else 0,)  # past the payload: 0, VLC only
+            pos = min(pos + 1, len(payload))
+        tokens.append(by_code[prefix])
+        steps += 1
+        degraded += was_degraded
+    return StegoResult(_sample(lm, tokens, max_len, np.random.default_rng(seed)), pos, steps, degraded)
 
 
 def embed_flc(lm: MarkovLM, payload: Sequence[int], bpw: int, max_len: int, seed) -> StegoResult:
     """Hide payload bits by indexing into the ranked candidate pool.
 
-    Each step consumes the next ``pool_bits`` payload bits as a big-endian
-    index; the final step narrows the pool so it consumes exactly the bits
-    that remain. After the payload the walk continues as pure sampling until
-    a natural stop.
+    Each step consumes the next ``k`` payload bits as a big-endian index
+    into a pool of ``2^k`` candidates; the final step narrows the pool so it
+    consumes exactly the bits that remain. After the payload the walk
+    continues as pure sampling until a natural stop.
     """
-    _check_bpw(bpw)
-    payload = [int(b) for b in payload]
-    if any(b not in (0, 1) for b in payload):
-        raise ValueError("payload must be 0/1 bits")
-    rng = np.random.default_rng(seed)
-    tokens: list[int] = []
-    pos = 0
-    steps = degraded = 0
-    while len(tokens) < max_len and pos < len(payload):
-        pool, pool_bits, was_degraded = _pool_for_step(lm, tokens, bpw)
-        pool_bits = min(pool_bits, len(payload) - pos)
-        pool = pool[: 1 << pool_bits]
-        index = 0
-        for b in payload[pos : pos + pool_bits]:
-            index = (index << 1) | b
-        tokens.append(pool[index])
-        pos += pool_bits
-        steps += 1
-        degraded += was_degraded
-    _continue_sampling(lm, tokens, max_len, rng)
-    return StegoResult(tuple(tokens), bits_consumed=pos, embed_steps=steps, degraded_steps=degraded)
+    return _embed(lm, payload, bpw, "flc", max_len, seed)
 
 
 def embed_vlc(lm: MarkovLM, payload: Sequence[int], bpw: int, max_len: int, seed) -> StegoResult:
@@ -297,37 +311,7 @@ def embed_vlc(lm: MarkovLM, payload: Sequence[int], bpw: int, max_len: int, seed
     emitted token's code starts with the real bits and extraction can simply
     truncate.
     """
-    _check_bpw(bpw)
-    payload = [int(b) for b in payload]
-    if any(b not in (0, 1) for b in payload):
-        raise ValueError("payload must be 0/1 bits")
-    rng = np.random.default_rng(seed)
-    tokens: list[int] = []
-    pos = 0
-    steps = degraded = 0
-    while len(tokens) < max_len and pos < len(payload):
-        pool, _, was_degraded = _pool_for_step(lm, tokens, bpw)
-        probs = lm.step_probs(tokens, pool)
-        codes = huffman_codebook(pool, probs / probs.sum())
-        by_prefix = {code: tok for tok, code in codes.items()}
-        prefix: tuple[int, ...] = ()
-        while prefix not in by_prefix:
-            bit = payload[pos] if pos < len(payload) else 0
-            pos = min(pos + 1, len(payload))
-            prefix = prefix + (bit,)
-        tokens.append(by_prefix[prefix])
-        steps += 1
-        degraded += was_degraded
-    _continue_sampling(lm, tokens, max_len, rng)
-    return StegoResult(tuple(tokens), bits_consumed=pos, embed_steps=steps, degraded_steps=degraded)
-
-
-def _continue_sampling(lm: MarkovLM, tokens: list[int], max_len: int, rng: np.random.Generator) -> None:
-    while len(tokens) < max_len:
-        tok = lm.sample_next(tokens, rng)
-        if tok == EOS:
-            break
-        tokens.append(tok)
+    return _embed(lm, payload, bpw, "vlc", max_len, seed)
 
 
 def extract_bits(
@@ -339,9 +323,7 @@ def extract_bits(
     payload length; raises :class:`DesyncError` when an emitted token falls
     outside its reconstructed pool or the text ends early.
     """
-    _check_bpw(bpw)
-    if coding not in CODINGS:
-        raise ValueError(f"coding must be one of {CODINGS}, got {coding!r}")
+    _check_codec(bpw, coding)
     if n_bits < 0:
         raise ValueError("payload length must be >= 0")
     out: list[int] = []
@@ -350,20 +332,10 @@ def extract_bits(
         if len(out) >= n_bits:
             break
         tok = int(tok)
-        pool, pool_bits, _ = _pool_for_step(lm, history, bpw)
-        if coding == "flc":
-            pool_bits = min(pool_bits, n_bits - len(out))
-            pool = pool[: 1 << pool_bits]
-            if tok not in pool:
-                raise DesyncError(f"token {tok} not in the reconstructed pool", step=step)
-            index = pool.index(tok)
-            out.extend((index >> (pool_bits - 1 - i)) & 1 for i in range(pool_bits))
-        else:
-            probs = lm.step_probs(history, pool)
-            codes = huffman_codebook(pool, probs / probs.sum())
-            if tok not in codes:
-                raise DesyncError(f"token {tok} not in the reconstructed pool", step=step)
-            out.extend(codes[tok])
+        codes, _ = _step_code(lm, history, bpw, coding, n_bits - len(out))
+        if tok not in codes:
+            raise DesyncError(f"token {tok} not in the reconstructed pool", step=step)
+        out.extend(codes[tok])
         history.append(tok)
     if len(out) < n_bits:
         raise DesyncError(
@@ -406,9 +378,7 @@ def build_domain_dataset(
     split. Per-sample RNG streams are derived from (seed, class, index) so
     generation is reproducible and order independent.
     """
-    _check_bpw(bpw)
-    if coding not in CODINGS:
-        raise ValueError(f"coding must be one of {CODINGS}, got {coding!r}")
+    _check_codec(bpw, coding)
     lo, hi = payload_bits
     if not 1 <= lo <= hi:
         raise ValueError(f"payload_bits range must satisfy 1 <= lo <= hi, got {payload_bits}")

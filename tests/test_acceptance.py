@@ -136,8 +136,8 @@ def test_criterion_04_huffman_matches_bruteforce_on_grid():
 
 
 def test_criterion_05_schedule_exact_sequences():
-    assert schedule_sizes(0.1, 2000, 10).sizes == tuple(range(200, 2001, 200))
-    assert schedule_sizes(0.5, 10, 4).sizes == (5, 10, 10, 10)
+    assert schedule_sizes(0.1, 2000, 10) == tuple(range(200, 2001, 200))
+    assert schedule_sizes(0.5, 10, 4) == (5, 10, 10, 10)
     _report(5, "m_t sequences 200..2000 and 5,10,10,10 reproduced exactly")
 
 

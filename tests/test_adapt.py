@@ -27,15 +27,15 @@ from stegadapt.model import Classifier, models_equal
 
 
 def test_schedule_matches_recurrence_exactly():
-    assert schedule_sizes(0.1, 2000, 10).sizes == tuple(range(200, 2001, 200))
+    assert schedule_sizes(0.1, 2000, 10) == tuple(range(200, 2001, 200))
 
 
 def test_schedule_caps_at_pool_size():
-    assert schedule_sizes(0.5, 10, 4).sizes == (5, 10, 10, 10)
+    assert schedule_sizes(0.5, 10, 4) == (5, 10, 10, 10)
 
 
 def test_schedule_single_round():
-    assert schedule_sizes(0.1, 37, 1).sizes == (4,)  # ceil(3.7)
+    assert schedule_sizes(0.1, 37, 1) == (4,)  # ceil(3.7)
 
 
 def test_schedule_rejects_bad_expansion():
@@ -50,7 +50,7 @@ def test_schedule_monotone_and_capped():
         p = float(rng.uniform(0.01, 0.99))
         n = int(rng.integers(1, 500))
         t = int(rng.integers(1, 20))
-        sizes = schedule_sizes(p, n, t).sizes
+        sizes = schedule_sizes(p, n, t)
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= n
         if np.ceil(p * n) * t >= n:
@@ -293,7 +293,7 @@ def test_finetune_round_log_matches_schedule():
     cfg = _toy_cfg(finetune_rounds=4, expansion=0.3)
     result = finetune(model, pool, _toy_samples(8, seed=4), cfg)
     assert [rec["round"] for rec in result.log] == [1, 2, 3, 4]
-    assert [rec["m"] for rec in result.log] == list(schedule_sizes(0.3, 20, 4).sizes)
+    assert [rec["m"] for rec in result.log] == list(schedule_sizes(0.3, 20, 4))
     assert result.log[0]["churn"] == 0.0
     assert all(0.0 <= rec["churn"] <= 1.0 for rec in result.log)
     assert all(0.5 <= rec["mean_confidence"] <= 1.0 for rec in result.log)

@@ -114,6 +114,24 @@ def test_unknown_config_key_reports_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "raw, named",
+    [
+        ({"data": 3}, "'data'"),
+        ({"data": {"domains": {"A": "x"}, "train": "many"}}, "'train'"),
+        ({"data": {"domains": {"A": "x"}}, "eval": {"seeds": 3}}, "'seeds'"),
+    ],
+)
+def test_mistyped_config_reports_error(tmp_path, capsys, raw, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main(["gen-data", "-c", str(config), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("pretrain", "--source", "X", "--target", "F"),

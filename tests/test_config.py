@@ -87,6 +87,41 @@ def test_section_rejects_every_other_field_name(section):
             config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("data", "train", "many"),
+        ("data", "train", True),
+        ("data", "train", 2.0),
+        ("data", "alpha", "0.5"),
+        ("data", "payload_bits", 16),
+        ("data", "payload_bits", [16, 4.5]),
+        ("data", "domains", ["a.txt"]),
+        ("data", "domains", {"A": 3}),
+        ("encoder", "features_path", 5),
+        ("head", "dropout_keep", False),
+        ("schedule", "reestimate", 1),
+        ("eval", "seeds", 3),
+    ],
+)
+def test_value_of_the_wrong_type_rejected(section, key, value):
+    raw = {**EVERY_KEY, section: {**EVERY_KEY[section], key: value}}
+    with pytest.raises(ValueError, match=f"config key '{key}' in section '{section}' has the wrong type"):
+        config_from_dict(raw)
+
+
+def test_section_that_is_not_an_object_rejected():
+    for value in (3, "data", [], None):
+        with pytest.raises(ValueError, match="config section 'head' must be an object"):
+            config_from_dict({**EVERY_KEY, "head": value})
+
+
+def test_int_accepted_as_float_and_list_as_tuple():
+    raw = {**EVERY_KEY, "data": {**EVERY_KEY["data"], "alpha": 1}, "schedule": {"p": 0.5}}
+    cfg = config_from_dict(raw)
+    assert cfg.data.alpha == 1.0 and cfg.data.payload_bits == (2, 6) and cfg.eval.seeds == (7, 8)
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ValueError, match="unknown config section"):
         config_from_dict({**EVERY_KEY, "optimizer": {}})

@@ -64,6 +64,22 @@ def test_prepare_data_cache_roundtrip(tiny_cfg, tmp_path):
     assert first.vocab.id_to_token == again.vocab.id_to_token
 
 
+def test_prepare_data_cache_follows_corpus_contents(tiny_config_dict, tmp_path):
+    from conftest import write_toy_corpus
+
+    corpus = write_toy_corpus(tmp_path / "sea.txt", "tide harbor mast sail gull rope".split(), seed=11)
+    raw = {**tiny_config_dict, "data": {**tiny_config_dict["data"], "domains": {
+        "S": str(corpus), "F": tiny_config_dict["data"]["domains"]["F"]}}}
+    cfg = config_from_dict(raw)
+    prepare_data(cfg, tmp_path / "cache")
+    warm = prepare_data(cfg, tmp_path / "cache")
+    write_toy_corpus(corpus, "lamp wick oil shade glass flame".split(), seed=33)
+    fresh = prepare_data(cfg)
+    again = prepare_data(cfg, tmp_path / "cache")
+    assert again.datasets == fresh.datasets != warm.datasets
+    assert again.vocab.id_to_token == fresh.vocab.id_to_token
+
+
 def test_prepare_data_checks_feature_store_width_on_warm_cache(tiny_config_dict, tmp_path):
     from stegadapt.encoder import save_precomputed
     from stegadapt.errors import CorpusError

@@ -224,7 +224,7 @@ def test_vlc_equals_flc_at_bpw_1():
     bits = [1, 0, 1, 1, 0]
     flc = embed_flc(lm, bits, bpw=1, max_len=12, seed=3)
     vlc = embed_vlc(lm, bits, bpw=1, max_len=12, seed=3)
-    assert flc.tokens == vlc.tokens
+    assert flc == vlc
 
 
 def test_vlc_bits_per_token_within_entropy_bounds():
@@ -278,11 +278,12 @@ def test_extract_zero_bits_is_noop(roundtrip_lm):
     assert extract_bits(roundtrip_lm, res.tokens, "flc", 2, 0) == []
 
 
-def test_extract_desync_on_foreign_tokens(roundtrip_lm):
+@pytest.mark.parametrize("coding", ["flc", "vlc"])
+def test_extract_desync_on_foreign_tokens(roundtrip_lm, coding):
     # A token that cannot be in any top-2 pool for this context desyncs.
     bad = [int(roundtrip_lm.support[-1])] * 4
     with pytest.raises(DesyncError, match="step"):
-        extract_bits(roundtrip_lm, bad, "flc", 1, 4)
+        extract_bits(roundtrip_lm, bad, coding, 1, 4)
 
 
 def test_extract_wrong_bpw_breaks_checksum(roundtrip_lm):
