@@ -28,7 +28,7 @@ from .encoder import load_precomputed
 from .errors import CorpusError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
-from .model import Classifier, config_hash, save_checkpoint
+from .model import Classifier, atomic_open, config_hash, save_checkpoint
 from .stegogen import build_domain_dataset, write_manifest
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
@@ -217,7 +217,7 @@ def _save_stage(out_dir: str | Path | None, spec: TaskSpec, seed: int, stage: st
         return
     path = checkpoint_path(out_dir, spec, seed, stage)
     save_checkpoint(path, result.model, extra={"stage": stage, "seed": seed, "variant": spec.ablation})
-    with open(path.with_name(_STAGE_LOGS[stage]), "w", encoding="utf-8") as fh:
+    with atomic_open(path.with_name(_STAGE_LOGS[stage])) as fh:
         for rec in result.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -388,8 +388,6 @@ def write_results(
 
 
 def write_rows_csv(rows: Sequence[Mapping], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         cells = []
@@ -397,7 +395,8 @@ def write_rows_csv(rows: Sequence[Mapping], path: str | Path) -> None:
             value = row[col]
             cells.append(f"{value:.6f}" if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_markdown_summary(
@@ -428,9 +427,8 @@ def write_markdown_summary(
             f1s.append(result.mean_f1)
         cells += [f"{np.mean(accs):.4f}" if accs else "-", f"{np.mean(f1s):.4f}" if f1s else "-"]
         lines.append("| " + " | ".join(cells) + " |")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"## {title}\n\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(f"## {title}\n\n" + "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +456,10 @@ def export_projection(model: Classifier, samples: Sequence[TextSample], path: st
         if row[pivot] < 0:
             row *= -1.0
     coords = centered @ components.T
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["id,x,y,label"]
     for sample, (x, y) in zip(samples, coords):
         label = "" if sample.label is None else str(sample.label)
         lines.append(f"{sample.id},{x:.8f},{y:.8f},{label}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return coords

@@ -6,10 +6,16 @@ analytic gradients for every parameter plus the gradient with respect to the
 input features (used to train the builtin encoder's embedding table while it
 is unfrozen).
 
-Sequences inside a batch may have different lengths. Padded positions feed
-zeros forward and receive zero gradient: the forward direction never reads
-beyond a sample's length, and the backward direction runs over per-sample
-reversed sequences so padding stays behind the data in both passes.
+Sequences inside a batch may have different lengths. The Bi-LSTM runs on a
+packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows sorted
+by length, descending, and only the valid timestep-rows kept, time-major, so
+each step works on one contiguous slice of the sequences still running. The
+reversed direction gathers each sequence's tokens back to front into the same
+slices. The input projection, the weight gradients and the input gradient
+are each one product over the packed rows. Padded positions are never read:
+the layer output is scattered back into zero-filled (B, T, 2h) states for
+the gate, pooling and classifier, and the feature gradient is exactly zero
+there whatever the padding holds.
 """
 
 from __future__ import annotations
@@ -94,9 +100,13 @@ def init_params(d_h: int, hidden: int, seed, layers: int = 1, config: HeadConfig
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # tanh form: cannot overflow, saturates to exactly 0.0 / 1.0.
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -105,58 +115,82 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _reverse_padded(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Reverse each row within its true length; padding stays at the tail."""
-    b, t = x.shape[:2]
-    src = lengths[:, None] - 1 - np.arange(t)[None, :]
-    valid = src >= 0
-    out = x[np.arange(b)[:, None], np.where(valid, src, 0)]
-    out[~valid] = 0.0
-    return out
+@dataclass(frozen=True)
+class _Packing:
+    """Where each valid timestep-row of a batch sits in the packed layout.
+
+    Rows are sorted by length, descending (stable), and only valid
+    timestep-rows are kept, time-major: step ``t`` occupies packed rows
+    ``offsets[t]:offsets[t + 1]``, one per sequence still running, so the
+    rows of step ``t + 1`` are a prefix of those of step ``t``.
+    """
+
+    rows: np.ndarray      # (N,) batch row of each packed row
+    steps: np.ndarray     # (N,) timestep of each packed row
+    reverse: np.ndarray   # (N,) packed row of the same token in the reversed frame
+    offsets: np.ndarray   # (T + 1,)
+    carried: np.ndarray   # (N,) bool: the sequence runs on to the next step
+
+
+def _pack(lengths: np.ndarray) -> _Packing:
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    counts = (sorted_lengths[None, :] > np.arange(sorted_lengths[0])[:, None]).sum(axis=1)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    steps = np.repeat(np.arange(counts.size), counts)
+    slot = np.arange(offsets[-1]) - offsets[steps]
+    last = sorted_lengths[slot] - 1
+    # Step t of the reversed pass reads token last - t; the map is its own inverse.
+    return _Packing(order[slot], steps, offsets[last - steps] + slot, offsets, steps < last)
 
 
 @dataclass
 class _PairCache:
-    """Forward and reversed-direction activations, both directions stacked.
+    """Forward and reversed-direction activations over the packed rows.
 
     Index 0 of the leading axis is the pass over the input as-is, index 1
-    the pass over per-sample reversed sequences; stacking lets one matmul or
-    ufunc call serve both directions each timestep. Per-timestep activations
-    stay as lists of (2, B, .) arrays so the recurrence never copies into
-    strided slices; ``hidden`` is stacked to (2, B, T, h) for the layer
-    output and the weight-gradient closures.
+    the pass over per-sample reversed sequences, each in its own packed
+    frame (the same step slices, tokens gathered through
+    ``_Packing.reverse``); stacking lets one matmul or ufunc call serve both
+    directions each timestep.
     """
 
-    x: np.ndarray
-    sig: list            # per t: (2, B, 3h) input/forget/output activations
-    cand: list           # per t: (2, B, h) tanh cell candidate
-    cell: list
-    tanh_cell: list
-    hidden: np.ndarray   # (2, B, T, h)
+    x: np.ndarray          # (2, N, d_in)
+    sig: np.ndarray        # (2, N, 3h) input/forget/output activations
+    cand: np.ndarray       # (2, N, h) tanh cell candidate
+    cell: np.ndarray       # (2, N, h)
+    tanh_cell: np.ndarray  # (2, N, h)
+    hidden: np.ndarray     # (2, N, h)
 
 
-def _run_directions(x_pair: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> _PairCache:
-    _, batch, t_max, _ = x_pair.shape
+def _run_directions(
+    x_pair: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, offsets: np.ndarray
+) -> _PairCache:
+    rows = x_pair.shape[1]
     h = wh.shape[2]
-    zx = np.matmul(x_pair, wx.transpose(0, 2, 1)[:, None]) + b[:, None, None, :]
-    sig, cand, cell, tanh_cell, hidden = [], [], [], [], []
+    zx = np.matmul(x_pair, wx.transpose(0, 2, 1)) + b[:, None, :]
+    sig = np.empty((2, rows, 3 * h))
+    cand = np.empty((2, rows, h))
+    cell = np.empty((2, rows, h))
+    tanh_cell = np.empty((2, rows, h))
+    hidden = np.empty((2, rows, h))
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
-    h_prev = np.zeros((2, batch, h))
-    c_prev = np.zeros((2, batch, h))
-    for t in range(t_max):
-        z = zx[:, :, t] + np.matmul(h_prev, wh_t)
-        sig_t = _sigmoid(z[:, :, : 3 * h])
-        cand_t = np.tanh(z[:, :, 3 * h :])
-        cell_t = sig_t[:, :, h : 2 * h] * c_prev + sig_t[:, :, :h] * cand_t
-        tanh_t = np.tanh(cell_t)
-        h_t = sig_t[:, :, 2 * h :] * tanh_t
-        sig.append(sig_t)
-        cand.append(cand_t)
-        cell.append(cell_t)
-        tanh_cell.append(tanh_t)
-        hidden.append(h_t)
-        h_prev, c_prev = h_t, cell_t
-    return _PairCache(x_pair, sig, cand, cell, tanh_cell, np.stack(hidden, axis=2))
+    bounds = offsets.tolist()
+    for t in range(len(bounds) - 1):
+        lo, hi = bounds[t], bounds[t + 1]
+        z = zx[:, lo:hi]
+        if t:
+            prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
+            z = z + np.matmul(hidden[:, prev], wh_t)
+        sig_t = _sigmoid(z[:, :, : 3 * h], out=sig[:, lo:hi])
+        cand_t = np.tanh(z[:, :, 3 * h :], out=cand[:, lo:hi])
+        cell_t = cell[:, lo:hi]
+        np.multiply(sig_t[:, :, :h], cand_t, out=cell_t)
+        if t:
+            cell_t += sig_t[:, :, h : 2 * h] * cell[:, prev]
+        tanh_t = np.tanh(cell_t, out=tanh_cell[:, lo:hi])
+        np.multiply(sig_t[:, :, 2 * h :], tanh_t, out=hidden[:, lo:hi])
+    return _PairCache(x_pair, sig, cand, cell, tanh_cell, hidden)
 
 
 def _stacked_lstm(params: "HeadParams", layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +211,7 @@ class BatchTrace:
     mode: str
     lengths: np.ndarray
     mask: np.ndarray
-    layer_inputs: list
+    packing: _Packing        # where the Bi-LSTM's packed rows sit in (B, T)
     pair_caches: list
     states: np.ndarray       # Bi-LSTM outputs, (B, T, 2h)
     gate: np.ndarray         # sigmoid gate activations
@@ -219,21 +253,18 @@ def forward_batch(
     batch, t_max = features.shape[:2]
     mask = np.arange(t_max)[None, :] < lengths[:, None]
 
-    x = np.asarray(features, dtype=np.float64)
-    layer_inputs = []
+    packing = _pack(lengths)
+    x = features[packing.rows, packing.steps].astype(np.float64, copy=False)
     pair_caches = []
     for layer in range(cfg.layers):
-        layer_inputs.append(x)
         wx, wh, b = _stacked_lstm(params, layer)
-        x_pair = np.stack([x, _reverse_padded(x, lengths)])
-        cache = _run_directions(x_pair, wx, wh, b)
+        cache = _run_directions(np.stack([x, x[packing.reverse]]), wx, wh, b, packing.offsets)
         pair_caches.append(cache)
-        x = np.concatenate(
-            [cache.hidden[0], _reverse_padded(cache.hidden[1], lengths)], axis=-1
-        )
-    states = x
-    if not np.isfinite(states[mask]).all():
+        x = np.concatenate([cache.hidden[0], cache.hidden[1][packing.reverse]], axis=1)
+    if not np.isfinite(x).all():
         raise NumericError("bilstm")
+    states = np.zeros((batch, t_max, x.shape[1]))
+    states[packing.rows, packing.steps] = x
 
     if cfg.gate_bypass:
         gate = np.ones_like(states)
@@ -262,7 +293,7 @@ def forward_batch(
         mode=mode,
         lengths=lengths,
         mask=mask,
-        layer_inputs=layer_inputs,
+        packing=packing,
         pair_caches=pair_caches,
         states=states,
         gate=gate,
@@ -326,42 +357,50 @@ def batch_loss_ce(probs: np.ndarray, labels: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bptt_directions(cache: _PairCache, dh_out: np.ndarray, wx: np.ndarray, wh: np.ndarray):
+def _bptt_directions(
+    cache: _PairCache, dh_out: np.ndarray, wx: np.ndarray, wh: np.ndarray, packing: _Packing
+):
     """Backprop through both stacked directions at once.
 
-    ``dh_out`` is (2, B, T, h) with the reversed direction's output gradient
-    already mapped into its reversed frame. Returns weight gradients stacked
-    per direction on the leading axis and input gradients in the same frames.
+    ``dh_out`` is (2, N, h), each direction's output gradient in its own
+    packed frame. Returns weight gradients stacked per direction on the
+    leading axis and input gradients in the same frames.
     """
-    _, batch, t_max, h = cache.hidden.shape
-    dz_list: list = [None] * t_max
+    bounds = packing.offsets.tolist()
+    batch = bounds[1]
+    h = wh.shape[2]
+    dz = np.empty((2, dh_out.shape[1], 4 * h))
+    # A carry row is written only at the steps its sequence runs, so it is
+    # still zero when the backward sweep reaches that sequence's last step.
     dh_carry = np.zeros((2, batch, h))
     dc_carry = np.zeros((2, batch, h))
-    zeros = np.zeros((2, batch, h))
-    for t in range(t_max - 1, -1, -1):
-        sig_t = cache.sig[t]
-        tanh_t = cache.tanh_cell[t]
-        cand_t = cache.cand[t]
-        dh = dh_out[:, :, t] + dh_carry
-        dc = dc_carry + dh * sig_t[:, :, 2 * h :] * (1.0 - tanh_t * tanh_t)
-        d_pre = np.empty((2, batch, 3 * h))
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[t], bounds[t + 1]
+        n = hi - lo
+        sig_t = cache.sig[:, lo:hi]
+        tanh_t = cache.tanh_cell[:, lo:hi]
+        cand_t = cache.cand[:, lo:hi]
+        dh = dh_out[:, lo:hi] + dh_carry[:, :n]
+        dc = dc_carry[:, :n] + dh * sig_t[:, :, 2 * h :] * (1.0 - tanh_t * tanh_t)
+        d_pre = np.empty((2, n, 3 * h))
         d_pre[:, :, :h] = dc * cand_t
-        d_pre[:, :, h : 2 * h] = dc * (cache.cell[t - 1] if t > 0 else zeros)
+        if t:
+            d_pre[:, :, h : 2 * h] = dc * cache.cell[:, bounds[t - 1] : bounds[t - 1] + n]
+        else:
+            d_pre[:, :, h : 2 * h] = 0.0
         d_pre[:, :, 2 * h :] = dh * tanh_t
-        dz = np.empty((2, batch, 4 * h))
-        dz[:, :, : 3 * h] = d_pre * sig_t * (1.0 - sig_t)
-        dz[:, :, 3 * h :] = dc * sig_t[:, :, :h] * (1.0 - cand_t * cand_t)
-        dz_list[t] = dz
-        dh_carry = np.matmul(dz, wh)
-        dc_carry = dc * sig_t[:, :, h : 2 * h]
-    dz_all = np.stack(dz_list, axis=2)
-    h_prev = np.zeros_like(cache.hidden)
-    h_prev[:, :, 1:] = cache.hidden[:, :, :-1]
-    flat_dz = np.ascontiguousarray(dz_all.reshape(2, batch * t_max, 4 * h))
-    dwx = np.matmul(flat_dz.transpose(0, 2, 1), cache.x.reshape(2, batch * t_max, -1))
-    dwh = np.matmul(flat_dz.transpose(0, 2, 1), h_prev.reshape(2, batch * t_max, h))
-    db = dz_all.sum(axis=(1, 2))
-    dx = np.matmul(dz_all, wx[:, None])
+        dz_t = dz[:, lo:hi]
+        dz_t[:, :, : 3 * h] = d_pre * sig_t * (1.0 - sig_t)
+        dz_t[:, :, 3 * h :] = dc * sig_t[:, :, :h] * (1.0 - cand_t * cand_t)
+        dh_carry[:, :n] = np.matmul(dz_t, wh)
+        dc_carry[:, :n] = dc * sig_t[:, :, h : 2 * h]
+    dz_cols = dz.transpose(0, 2, 1)
+    dwx = np.matmul(dz_cols, cache.x)
+    # Steps t >= 1 (the rows past the first ``batch``) read the hidden state
+    # their sequence left at step t - 1: the carried rows, in the same order.
+    dwh = np.matmul(dz_cols[:, :, batch:], cache.hidden[:, packing.carried])
+    db = dz.sum(axis=1)
+    dx = np.matmul(dz, wx)
     return dwx, dwh, db, dx
 
 
@@ -370,8 +409,8 @@ def backward_batch(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradients of the batch-mean cross-entropy for every head tensor.
 
-    Also returns the gradient with respect to the input features, zeroed on
-    padded positions, for an unfrozen encoder to consume.
+    Also returns the gradient with respect to the input features, exactly
+    zero on padded positions, for an unfrozen encoder to consume.
     """
     cfg = params.config
     labels = np.asarray(labels)
@@ -405,18 +444,20 @@ def backward_batch(
         dstates = dgated * trace.gate + dpre @ params.tensors["gate.w"]
 
     h = cfg.hidden
-    d_upper = dstates
+    packing = trace.packing
+    d_upper = dstates[packing.rows, packing.steps]
     for layer in range(cfg.layers - 1, -1, -1):
-        dh_pair = np.stack([d_upper[..., :h], _reverse_padded(d_upper[..., h:], trace.lengths)])
+        dh_pair = np.stack([d_upper[:, :h], d_upper[packing.reverse, h:]])
         wx, wh, _ = _stacked_lstm(params, layer)
-        dwx, dwh, db, dx = _bptt_directions(trace.pair_caches[layer], dh_pair, wx, wh)
+        dwx, dwh, db, dx = _bptt_directions(trace.pair_caches[layer], dh_pair, wx, wh, packing)
         for d, direction in enumerate(("fwd", "bwd")):
             keys = params.lstm_keys(layer, direction)
             grads[keys[0]][:] = dwx[d]
             grads[keys[1]][:] = dwh[d]
             grads[keys[2]][:] = db[d]
-        d_upper = dx[0] + _reverse_padded(dx[1], trace.lengths)
-    d_features = d_upper * trace.mask[..., None]
+        d_upper = dx[0] + dx[1][packing.reverse]
+    d_features = np.zeros(trace.mask.shape + (cfg.d_h,))
+    d_features[packing.rows, packing.steps] = d_upper
     return grads, d_features
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -112,6 +113,25 @@ def predicted_labels(probs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Write ``path`` through a temp file beside it, renamed over it on success.
+
+    An interrupted write never leaves a partial file under the target's name:
+    on any exception the temp file is removed and the old file stays.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(
     path: str | Path,
     model: Classifier,
@@ -135,18 +155,8 @@ def save_checkpoint(
         arrays.update({f"adam.m.{k}": v for k, v in optimizer.m.items()})
         arrays.update({f"adam.v.{k}": v for k, v in optimizer.v.items()})
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Write beside the target and rename, so an interrupted save never leaves
-    # a truncated archive under the checkpoint's name.
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classifier, AdamState | None, dict]:

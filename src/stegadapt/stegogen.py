@@ -88,8 +88,8 @@ class MarkovLM:
         return self._ctx.get(context)
 
     def _context_key(self, history: Sequence[int]) -> tuple[int, ...]:
-        ctx = ((BOS,) * self.order + tuple(int(t) for t in history))[-self.order :]
-        return ctx
+        tail = tuple(int(t) for t in history[-self.order :])
+        return (BOS,) * (self.order - len(tail)) + tail
 
     # -- queries ---------------------------------------------------------
 
@@ -112,11 +112,12 @@ class MarkovLM:
         With smoothing every supported token is a candidate; with alpha == 0
         only observed continuations qualify.
         """
-        stats = self._stats(self._context_key(history))
+        key = self._context_key(history)
+        stats = self._stats(key)
         ranked: list[int] = []
         observed: dict[int, int] = {}
         if stats is not None:
-            observed = self.counts[self._context_key(history)]
+            observed = self.counts[key]
             ranked = [t for t in stats.ranked if not (exclude_eos and t == EOS)]
         if self.alpha > 0 and len(ranked) < n:
             pool = self._support_no_eos if exclude_eos else self.support
@@ -130,10 +131,11 @@ class MarkovLM:
 
     def step_probs(self, history: Sequence[int], ids: Sequence[int]) -> np.ndarray:
         """Smoothed probabilities of specific ids in this context."""
-        stats = self._stats(self._context_key(history))
+        key = self._context_key(history)
+        stats = self._stats(key)
         total = stats.total if stats else 0
         denom = total + self.alpha * len(self.support)
-        bucket = self.counts.get(self._context_key(history), {})
+        bucket = self.counts.get(key, {})
         return np.array([(bucket.get(int(i), 0) + self.alpha) / denom for i in ids])
 
     def sample_next(self, history: Sequence[int], rng: np.random.Generator) -> int:

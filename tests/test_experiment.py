@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import builtins
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stegadapt.adapt import evaluate_model
+from stegadapt.adapt import TrainResult, evaluate_model
 from stegadapt.config import config_from_dict
 from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.head import HeadConfig
 from stegadapt.model import Classifier, models_equal
 from stegadapt.experiment import (
+    TaskResult,
     TaskSpec,
     ABLATIONS,
+    _save_stage,
     build_model,
     export_projection,
     prepare_data,
@@ -315,3 +320,73 @@ def test_precomputed_feature_pipeline_end_to_end(tiny_cfg, tiny_data, tmp_path):
     result = run_task(cfg, TaskSpec(source="S", target="F"), data=data, seeds=[0])
     # Linearly separated synthetic features make this trivially learnable.
     assert result.mean_acc > 0.9
+
+
+# ---------------------------------------------------------------------------
+# atomic text artifacts
+# ---------------------------------------------------------------------------
+
+
+def _csv_row(acc):
+    row = dict(source="S", target="F", bpw=1, coding="flc", variant="none", seed=0, acc=acc, f1=acc)
+    return {**row, "tp": 1, "fp": 0, "tn": 1, "fn": 0, "n": 2}
+
+
+def _write_csv(out_dir, acc):
+    write_rows_csv([_csv_row(acc)], out_dir / "rows.csv")
+    return out_dir / "rows.csv"
+
+
+def _write_markdown(out_dir, acc):
+    result = TaskResult(TaskSpec(source="S", target="F"), [_csv_row(acc)], acc, 0.0, acc, 0.0)
+    write_markdown_summary({"full": {("S", "F"): result}}, out_dir / "summary.md", "demo")
+    return out_dir / "summary.md"
+
+
+def _write_projection(out_dir, acc):
+    export_projection(_projection_model(seed=int(acc * 100)), _id_samples(5), out_dir / "p.csv")
+    return out_dir / "p.csv"
+
+
+def _write_stage_log(out_dir, acc):
+    result = TrainResult(_projection_model(), [{"epoch": 0, "val_acc": acc}], None, None)
+    _save_stage(out_dir, TaskSpec(source="S", target="F"), 0, "pretrain", result)
+    return out_dir / "runs" / "S__F" / "none" / "seed0" / "pretrain_log.jsonl"
+
+
+class _FailsPartway:
+    """A file that takes half of the first write, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("write", [_write_csv, _write_markdown, _write_projection, _write_stage_log])
+def test_interrupted_artifact_write_keeps_the_old_file(write, tmp_path, monkeypatch):
+    path = write(tmp_path, 0.5)
+    before = path.read_bytes()
+    real_open = builtins.open
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith(path.name):
+            return _FailsPartway(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_failing)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path, 0.25)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))

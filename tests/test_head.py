@@ -36,6 +36,19 @@ def _random_instance(seed, d_h=8, hidden=4, n=3, max_len=5, layers=1):
     return params, feats, labels
 
 
+# A tie (3, 3), a length-1 row and a longest row that is not first, so the
+# packed layout reorders rows, drops one before the others and keeps ties stable.
+MIXED_LENGTHS = (3, 1, 5, 3, 2)
+
+
+def _mixed_instance(seed, d_h=8, hidden=4, layers=1):
+    rng = np.random.default_rng(seed)
+    params = init_params(d_h, hidden, seed=seed + 1, layers=layers)
+    feats = [rng.normal(size=(n, d_h)) for n in MIXED_LENGTHS]
+    labels = [0, 1, 1, 0, 1]
+    return params, feats, labels
+
+
 # ---------------------------------------------------------------------------
 # init_params
 # ---------------------------------------------------------------------------
@@ -208,25 +221,7 @@ def test_logit_gradient_closed_form():
     np.testing.assert_allclose(grads["cls.b"], expected, atol=1e-12)
 
 
-def test_gradients_match_finite_differences():
-    for seed in (0, 1, 2):
-        params, feats, labels = _random_instance(seed, n=2, max_len=5)
-        padded, lengths = _pad(feats)
-
-        def loss_fn():
-            trace = forward_batch(padded, lengths, params, mode="eval")
-            return batch_loss_ce(trace.probs, labels)
-
-        trace = forward_batch(padded, lengths, params, mode="eval")
-        analytic, d_feats = backward_batch(trace, labels, params)
-        numeric = central_difference_grads(loss_fn, params.tensors)
-        assert max_gradient_mismatch(analytic, numeric) < 1e-4
-        numeric_feats = central_difference_grads(loss_fn, {"features": padded})
-        assert max_gradient_mismatch({"features": d_feats}, numeric_feats) < 1e-4
-
-
-def test_gradients_match_finite_differences_two_layers():
-    params, feats, labels = _random_instance(4, n=2, max_len=4, layers=2)
+def _check_against_finite_differences(params, feats, labels):
     padded, lengths = _pad(feats)
 
     def loss_fn():
@@ -234,9 +229,60 @@ def test_gradients_match_finite_differences_two_layers():
         return batch_loss_ce(trace.probs, labels)
 
     trace = forward_batch(padded, lengths, params, mode="eval")
-    analytic, _ = backward_batch(trace, labels, params)
+    analytic, d_feats = backward_batch(trace, labels, params)
     numeric = central_difference_grads(loss_fn, params.tensors)
     assert max_gradient_mismatch(analytic, numeric) < 1e-4
+    numeric_feats = central_difference_grads(loss_fn, {"features": padded})
+    assert max_gradient_mismatch({"features": d_feats}, numeric_feats) < 1e-4
+
+
+def test_gradients_match_finite_differences():
+    for seed in (0, 1, 2):
+        _check_against_finite_differences(*_random_instance(seed, n=2, max_len=5))
+    _check_against_finite_differences(*_mixed_instance(3))
+
+
+def test_gradients_match_finite_differences_two_layers():
+    _check_against_finite_differences(*_random_instance(4, n=2, max_len=4, layers=2))
+    _check_against_finite_differences(*_mixed_instance(5, layers=2))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_batch_gradients_are_mean_of_single_row_gradients(layers):
+    # Batches of one have no padding, so this pins the packed batch path to
+    # the unpadded one row by row.
+    params, feats, labels = _mixed_instance(7, layers=layers)
+    padded, lengths = _pad(feats)
+    grads, d_feats = backward_batch(forward_batch(padded, lengths, params), labels, params)
+    mean = {name: np.zeros_like(g) for name, g in grads.items()}
+    for i, (f, y) in enumerate(zip(feats, labels)):
+        single, d_single = backward_batch(forward_batch(f[None], lengths[i : i + 1], params), [y], params)
+        for name, g in single.items():
+            mean[name] += g / len(feats)
+        np.testing.assert_allclose(d_feats[i, : f.shape[0]], d_single[0] / len(feats), rtol=0, atol=1e-12)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], mean[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_padding_is_never_read(layers):
+    params, feats, labels = _mixed_instance(9, layers=layers)
+    padded, lengths = _pad(feats)
+    pad = np.arange(padded.shape[1])[None, :] >= lengths[:, None]
+    for mode in ("eval", "train"):
+        ref = forward_batch(padded, lengths, params, mode, np.random.default_rng(0))
+        ref_grads, ref_d = backward_batch(ref, labels, params)
+        for fill in (np.nan, 1e6):
+            filled = padded.copy()
+            filled[pad] = fill
+            trace = forward_batch(filled, lengths, params, mode, np.random.default_rng(0))
+            grads, d_feats = backward_batch(trace, labels, params)
+            assert trace.probs.tobytes() == ref.probs.tobytes()
+            assert trace.states[~pad].tobytes() == ref.states[~pad].tobytes()
+            for name in grads:
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+            assert d_feats.tobytes() == ref_d.tobytes()
+            assert np.all(d_feats[pad] == 0.0)
 
 
 def test_gate_bypass_gradients_are_zero_for_gate():
