@@ -41,6 +41,7 @@ from .corpus import (
 from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, load_precomputed, make_encoder
 from .errors import (
     CapacityError,
+    CheckpointError,
     CorpusError,
     DesyncError,
     FeatureLookupError,
@@ -58,13 +59,11 @@ from .experiment import (
 )
 from .head import (
     AdamState,
-    ForwardTrace,
     HeadConfig,
     HeadParams,
     adam_step,
     backward_batch,
     batch_loss_ce,
-    forward,
     forward_batch,
     init_params,
     loss_ce,
@@ -81,6 +80,7 @@ from .stegogen import (
     fit_lm,
     huffman_codebook,
     sample_cover,
+    tokenize_corpus,
 )
 
 __version__ = "0.1.0"

@@ -106,7 +106,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
     data, spec = _task(cfg, args)
     for seed in _seeds(cfg, args):
         ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, "pretrain")
-        model, _, _ = load_checkpoint(ckpt, store=data.store)
+        model, _ = load_checkpoint(ckpt, store=data.store)
         result = adapt_stage(cfg, data, spec, seed, model, args.out_dir)
         best = "n/a" if result.best_val_score is None else f"{result.best_val_score:.4f}"
         print(f"seed {seed}: best target-val {cfg.train.selection_metric.upper()} {best} at round {result.best_index}")
@@ -118,7 +118,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     rows = []
     for seed in _seeds(cfg, args):
         ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, variant=args.variant)
-        model, _, _ = load_checkpoint(ckpt, store=data.store)
+        model, _ = load_checkpoint(ckpt, store=data.store)
         metrics = evaluate_stage(cfg, data, spec, model, args.split)
         rows.append(result_row(cfg, spec, seed, metrics, variant=args.variant))
         print(f"seed {seed}: {args.split} ACC {metrics.acc:.4f} F1 {metrics.f1:.4f}")
@@ -148,7 +148,7 @@ def cmd_export_features(cfg: ExperimentConfig, args) -> int:
     data, spec = _task(cfg, args)
     seed = args.seed if args.seed is not None else cfg.eval.seeds[0]
     ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed)
-    model, _, _ = load_checkpoint(ckpt, store=data.store)
+    model, _ = load_checkpoint(ckpt, store=data.store)
     domain = args.domain or spec.target
     samples = getattr(data.domain(domain), args.split)
     out = args.out or results_path(args.out_dir, f"projection_{domain}_{args.split}.csv")

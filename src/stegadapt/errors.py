@@ -48,5 +48,13 @@ class NumericError(StegadaptError):
         self.stage = stage
 
 
+class CheckpointError(StegadaptError):
+    """An unreadable or malformed checkpoint file. Carries the file's path."""
+
+    def __init__(self, path, message: str):
+        super().__init__(f"checkpoint {path}: {message}")
+        self.path = path
+
+
 class FeatureLookupError(StegadaptError):
     """A sample id is missing from a precomputed feature store."""

@@ -29,7 +29,7 @@ from .errors import CorpusError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
 from .model import Classifier, atomic_open, config_hash, save_checkpoint
-from .stegogen import build_domain_dataset, write_manifest
+from .stegogen import build_domain_dataset, tokenize_corpus, write_manifest
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
 SLB_LAYERS = 2  # Bi-LSTM layers of the stacked-LSTM (w-SLB) variant
@@ -111,7 +111,7 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     come from the cache when it is complete; every other step is the same
     for a cold and a warm cache.
     """
-    from .corpus import build_vocab, tokenize
+    from .corpus import build_vocab
 
     datasets: dict[str, DomainDataset] = {}
     vocab: Vocab | None = None
@@ -134,17 +134,15 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
         for tag in generated_tags:
             datasets[tag] = dataset_from_jsonl(cache_root / tag / "samples.jsonl", cache_root / tag / "splits.jsonl")
     elif generated_tags:
+        texts = {tag: tokenize_corpus(cfg.data.domains[tag]) for tag in generated_tags}
         if vocab is None:
-            texts = []
-            for tag in generated_tags:
-                lines = Path(cfg.data.domains[tag]).read_text(encoding="utf-8").splitlines()
-                texts.extend(toks for toks in (tokenize(line) for line in lines) if toks)
-            vocab = build_vocab(texts, min_freq=cfg.data.min_freq)
+            union = [toks for tag in generated_tags for toks in texts[tag]]
+            vocab = build_vocab(union, min_freq=cfg.data.min_freq)
         manifests = {}
         for index, tag in enumerate(generated_tags):
             seed = int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
             result = build_domain_dataset(
-                cfg.data.domains[tag],
+                texts[tag],
                 domain=tag,
                 sizes=cfg.data.sizes,
                 bpw=cfg.data.bpw,

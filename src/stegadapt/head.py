@@ -6,16 +6,16 @@ analytic gradients for every parameter plus the gradient with respect to the
 input features (used to train the builtin encoder's embedding table while it
 is unfrozen).
 
-Sequences inside a batch may have different lengths. The Bi-LSTM runs on a
-packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows sorted
-by length, descending, and only the valid timestep-rows kept, time-major, so
-each step works on one contiguous slice of the sequences still running. The
-reversed direction gathers each sequence's tokens back to front into the same
-slices. The input projection, the weight gradients and the input gradient
-are each one product over the packed rows. Padded positions are never read:
-the layer output is scattered back into zero-filled (B, T, 2h) states for
-the gate, pooling and classifier, and the feature gradient is exactly zero
-there whatever the padding holds.
+Sequences inside a batch may have different lengths. The whole head runs on
+a packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows
+sorted by length, descending, and only the valid timestep-rows kept,
+time-major, so each step works on one contiguous slice of the sequences
+still running. The reversed direction gathers each sequence's tokens back to
+front into the same slices. The input projection, the weight gradients, the
+input gradient and the gate are each one product over the packed rows, and
+pooling sums each step's slice in time order. Padded positions are never
+read: only the padded input features and their gradient, which is exactly
+zero there whatever the padding holds, keep the (B, T, d_h) layout.
 """
 
 from __future__ import annotations
@@ -206,14 +206,19 @@ def _stacked_lstm(params: "HeadParams", layer: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class BatchTrace:
-    """Activations for one forward pass over a padded batch."""
+    """Activations for one forward pass, per token over the N packed rows.
+
+    ``states``, ``gate`` and ``gated`` are (N, 2h), row ``i`` being token
+    ``packing.steps[i]`` of batch row ``packing.rows[i]``; the pooled and
+    classifier arrays are per batch row, in input order.
+    """
 
     mode: str
     lengths: np.ndarray
-    mask: np.ndarray
-    packing: _Packing        # where the Bi-LSTM's packed rows sit in (B, T)
+    width: int               # T, the padded width of the input features
+    packing: _Packing
     pair_caches: list
-    states: np.ndarray       # Bi-LSTM outputs, (B, T, 2h)
+    states: np.ndarray       # Bi-LSTM outputs, (N, 2h)
     gate: np.ndarray         # sigmoid gate activations
     gated: np.ndarray        # gate * states
     pooled_raw: np.ndarray   # mean over valid steps, (B, 2h)
@@ -223,16 +228,15 @@ class BatchTrace:
     probs: np.ndarray
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Single-sample view of a forward pass (spec-level trace)."""
-
-    states: np.ndarray
-    gate: np.ndarray
-    gated: np.ndarray
-    pooled: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
+def _mean_pool(gated: np.ndarray, packing: _Packing, lengths: np.ndarray) -> np.ndarray:
+    # Step t adds to the first n_t sorted rows, so each row sums in time order.
+    bounds = packing.offsets.tolist()
+    sums = np.zeros((lengths.size, gated.shape[1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sums[: hi - lo] += gated[lo:hi]
+    pooled = np.empty_like(sums)
+    pooled[packing.rows[: lengths.size]] = sums
+    return pooled / lengths[:, None]
 
 
 def forward_batch(
@@ -250,32 +254,27 @@ def forward_batch(
     lengths = np.asarray(lengths, dtype=np.int64)
     if np.any(lengths < 1) or np.any(lengths > features.shape[1]):
         raise ValueError("lengths must be in 1..T")
-    batch, t_max = features.shape[:2]
-    mask = np.arange(t_max)[None, :] < lengths[:, None]
 
     packing = _pack(lengths)
-    x = features[packing.rows, packing.steps].astype(np.float64, copy=False)
+    states = features[packing.rows, packing.steps].astype(np.float64, copy=False)
     pair_caches = []
     for layer in range(cfg.layers):
         wx, wh, b = _stacked_lstm(params, layer)
-        cache = _run_directions(np.stack([x, x[packing.reverse]]), wx, wh, b, packing.offsets)
+        cache = _run_directions(np.stack([states, states[packing.reverse]]), wx, wh, b, packing.offsets)
         pair_caches.append(cache)
-        x = np.concatenate([cache.hidden[0], cache.hidden[1][packing.reverse]], axis=1)
-    if not np.isfinite(x).all():
+        states = np.concatenate([cache.hidden[0], cache.hidden[1][packing.reverse]], axis=1)
+    if not np.isfinite(states).all():
         raise NumericError("bilstm")
-    states = np.zeros((batch, t_max, x.shape[1]))
-    states[packing.rows, packing.steps] = x
 
     if cfg.gate_bypass:
         gate = np.ones_like(states)
     else:
-        pre = states @ params.tensors["gate.w"].T + params.tensors["gate.b"]
-        gate = _sigmoid(pre)
+        gate = _sigmoid(states @ params.tensors["gate.w"].T + params.tensors["gate.b"])
     gated = gate * states
-    if not np.isfinite(gated[mask]).all():
+    if not np.isfinite(gated).all():
         raise NumericError("gate")
 
-    pooled_raw = (gated * mask[..., None]).sum(axis=1) / lengths[:, None]
+    pooled_raw = _mean_pool(gated, packing, lengths)
     dropout_mask = None
     pooled = pooled_raw
     if mode == "train" and cfg.dropout_keep < 1.0:
@@ -292,7 +291,7 @@ def forward_batch(
     return BatchTrace(
         mode=mode,
         lengths=lengths,
-        mask=mask,
+        width=features.shape[1],
         packing=packing,
         pair_caches=pair_caches,
         states=states,
@@ -303,30 +302,6 @@ def forward_batch(
         pooled=pooled,
         logits=logits,
         probs=probs,
-    )
-
-
-def forward(
-    features: np.ndarray,
-    params: HeadParams,
-    mode: str = "eval",
-    dropout_seed=None,
-) -> ForwardTrace:
-    """Run one sample; see :func:`forward_batch` for the batched version."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("forward expects a (len, d_h) feature matrix")
-    rng = None
-    if mode == "train" and params.config.dropout_keep < 1.0:
-        rng = np.random.default_rng(dropout_seed)
-    trace = forward_batch(features[None], np.array([features.shape[0]]), params, mode, rng)
-    return ForwardTrace(
-        states=trace.states[0],
-        gate=trace.gate[0],
-        gated=trace.gated[0],
-        pooled=trace.pooled[0],
-        logits=trace.logits[0],
-        probs=trace.probs[0],
     )
 
 
@@ -429,23 +404,18 @@ def backward_batch(
     if trace.dropout_mask is not None:
         dpooled = dpooled * trace.dropout_mask
 
-    scale = np.where(trace.mask, 1.0 / trace.lengths[:, None], 0.0)
-    dgated = dpooled[:, None, :] * scale[..., None]
+    packing = trace.packing
+    dgated = (dpooled * (1.0 / trace.lengths)[:, None])[packing.rows]
 
     if cfg.gate_bypass:
-        dstates = dgated
+        d_upper = dgated
     else:
-        dw = dgated * trace.states
-        dpre = dw * trace.gate * (1.0 - trace.gate)
-        flat_dpre = dpre.reshape(-1, dpre.shape[-1])
-        flat_states = trace.states.reshape(-1, trace.states.shape[-1])
-        grads["gate.w"][:] = flat_dpre.T @ flat_states
-        grads["gate.b"][:] = dpre.sum(axis=(0, 1))
-        dstates = dgated * trace.gate + dpre @ params.tensors["gate.w"]
+        dpre = dgated * trace.states * trace.gate * (1.0 - trace.gate)
+        grads["gate.w"][:] = dpre.T @ trace.states
+        grads["gate.b"][:] = dpre.sum(axis=0)
+        d_upper = dgated * trace.gate + dpre @ params.tensors["gate.w"]
 
     h = cfg.hidden
-    packing = trace.packing
-    d_upper = dstates[packing.rows, packing.steps]
     for layer in range(cfg.layers - 1, -1, -1):
         dh_pair = np.stack([d_upper[:, :h], d_upper[packing.reverse, h:]])
         wx, wh, _ = _stacked_lstm(params, layer)
@@ -456,7 +426,7 @@ def backward_batch(
             grads[keys[1]][:] = dwh[d]
             grads[keys[2]][:] = db[d]
         d_upper = dx[0] + dx[1][packing.reverse]
-    d_features = np.zeros(trace.mask.shape + (cfg.d_h,))
+    d_features = np.zeros((batch, trace.width, cfg.d_h))
     d_features[packing.rows, packing.steps] = d_upper
     return grads, d_features
 
@@ -471,13 +441,6 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-
-    def clone(self) -> "AdamState":
-        return AdamState(
-            step=self.step,
-            m={k: v.copy() for k, v in self.m.items()},
-            v={k: v.copy() for k, v in self.v.items()},
-        )
 
 
 def adam_step(

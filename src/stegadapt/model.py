@@ -1,9 +1,10 @@
 """Encoder + head bundle, batched inference, and checkpoint files.
 
 Checkpoints are numpy ``.npz`` archives holding every head tensor, the
-builtin encoder's embedding table, the optimizer moments, and a JSON metadata
-record with the component configs and their hashes. Restoring a checkpoint
-reproduces eval-mode forward outputs bit for bit.
+builtin encoder's embedding table, and a JSON metadata record with the
+component configs and their hashes. Restoring a checkpoint reproduces
+eval-mode forward outputs bit for bit; a file that cannot be restored raises
+:class:`~stegadapt.errors.CheckpointError`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -20,7 +22,8 @@ import numpy as np
 
 from .corpus import TextSample
 from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, make_encoder
-from .head import AdamState, HeadConfig, HeadParams, forward_batch, init_params
+from .errors import CheckpointError
+from .head import HeadConfig, HeadParams, forward_batch, init_params
 
 CHECKPOINT_VERSION = 1
 
@@ -132,12 +135,7 @@ def atomic_open(path: str | Path, mode: str = "w"):
         raise
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: Classifier,
-    optimizer: AdamState | None = None,
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, model: Classifier, extra: dict | None = None) -> None:
     enc = model.encoder
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -145,48 +143,51 @@ def save_checkpoint(
         "encoder_config": asdict(enc.config),
         "vocab_size": getattr(enc, "vocab_size", None),
         "hashes": model.component_hashes(),
-        "adam_step": optimizer.step if optimizer else None,
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {f"head.{k}": v for k, v in model.head.tensors.items()}
     if isinstance(enc, BuiltinEncoder):
         arrays["encoder.embedding"] = enc.table
-    if optimizer is not None:
-        arrays.update({f"adam.m.{k}": v for k, v in optimizer.m.items()})
-        arrays.update({f"adam.v.{k}": v for k, v in optimizer.v.items()})
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with atomic_open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classifier, AdamState | None, dict]:
-    """Rebuild the model (and optimizer state if it was saved) from a file.
+def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classifier, dict]:
+    """Rebuild the model from a file; returns it with the metadata record.
 
     ``store`` supplies the feature store for precomputed-encoder checkpoints;
-    the store itself is never serialized.
+    the store itself is never serialized. A missing, truncated or foreign
+    file, a missing entry, bad metadata JSON, an unknown version or a head
+    tensor of the wrong shape raises :class:`CheckpointError` naming the file.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(bytes(archive["meta"]).decode())
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = dict(archive)
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(path, f"not a readable .npz archive ({exc})") from exc
+    try:
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        if not isinstance(meta, dict):
+            raise TypeError("metadata is not a JSON object")
         if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            raise CheckpointError(path, f"unsupported checkpoint version {meta['version']!r}")
         head_config = HeadConfig(**meta["head_config"])
         enc_config = EncoderConfig(**meta["encoder_config"])
-        head_tensors = {
-            k[len("head.") :]: archive[k].copy() for k in archive.files if k.startswith("head.")
-        }
+        reference = init_params(head_config.d_h, head_config.hidden, 0, head_config.layers, head_config).tensors
+        head_tensors = {name: arrays[f"head.{name}"] for name in reference}
+        misshapen = [name for name, tensor in reference.items() if head_tensors[name].shape != tensor.shape]
+        if misshapen:
+            raise ValueError(f"head tensors {misshapen} do not match head_config")
         if enc_config.kind == "builtin":
-            encoder = BuiltinEncoder(enc_config, meta["vocab_size"], table=archive["encoder.embedding"].copy())
+            encoder = BuiltinEncoder(enc_config, meta["vocab_size"], table=arrays["encoder.embedding"])
         else:
             encoder = PrecomputedEncoder(enc_config, store or {})
-        optimizer = None
-        if meta["adam_step"] is not None:
-            optimizer = AdamState(
-                step=meta["adam_step"],
-                m={k[len("adam.m.") :]: archive[k].copy() for k in archive.files if k.startswith("adam.m.")},
-                v={k[len("adam.v.") :]: archive[k].copy() for k in archive.files if k.startswith("adam.v.")},
-            )
-    model = Classifier(encoder=encoder, head=HeadParams(head_config, head_tensors))
-    return model, optimizer, meta
+    except KeyError as exc:
+        raise CheckpointError(path, f"missing entry {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(path, f"bad metadata ({exc})") from exc
+    return Classifier(encoder=encoder, head=HeadParams(head_config, head_tensors)), meta
 
 
 def models_equal(a: Classifier, b: Classifier) -> bool:

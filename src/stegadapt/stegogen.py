@@ -359,8 +359,17 @@ class GenerationResult:
     manifest: dict
 
 
+def tokenize_corpus(corpus_path: str | Path) -> list[list[str]]:
+    """The tokenized nonempty lines of a text corpus, in file order."""
+    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
+    texts = [toks for toks in (tokenize(line) for line in lines) if toks]
+    if not texts:
+        raise ValueError(f"{corpus_path}: no usable text lines")
+    return texts
+
+
 def build_domain_dataset(
-    corpus_path: str | Path,
+    texts: Sequence[Sequence[str]],
     *,
     domain: str,
     sizes: Mapping[str, int],
@@ -374,7 +383,7 @@ def build_domain_dataset(
     max_len: int = 64,
     payload_bits: tuple[int, int] = (16, 48),
 ) -> GenerationResult:
-    """Fit a domain LM on a text file and generate a full cover/stego dataset.
+    """Fit a domain LM on tokenized texts and generate a full cover/stego dataset.
 
     One LM per domain produces the covers and the stego texts for every
     split. Per-sample RNG streams are derived from (seed, class, index) so
@@ -387,10 +396,6 @@ def build_domain_dataset(
     if hi > max_len:
         raise ValueError(f"payload_bits upper bound {hi} exceeds max_len {max_len}")
 
-    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
-    texts = [toks for toks in (tokenize(line) for line in lines) if toks]
-    if not texts:
-        raise ValueError(f"{corpus_path}: no usable text lines")
     if vocab is None:
         from .corpus import build_vocab
 

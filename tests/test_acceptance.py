@@ -37,7 +37,6 @@ from stegadapt.head import (
     HeadParams,
     backward_batch,
     batch_loss_ce,
-    forward,
     forward_batch,
     init_params,
 )
@@ -226,8 +225,8 @@ def test_criterion_08_ablation_identities(tmp_path):
     rng = np.random.default_rng(4)
     for _ in range(10):
         feats = rng.normal(size=(int(rng.integers(1, 9)), 12))
-        a = forward(feats, bypass)
-        b = forward(feats, forced)
+        a = forward_batch(feats[None], [len(feats)], bypass)
+        b = forward_batch(feats[None], [len(feats)], forced)
         assert a.probs.tobytes() == b.probs.tobytes()
         assert a.gated.tobytes() == b.gated.tobytes()
 

@@ -147,3 +147,24 @@ def test_unknown_domain_tag_reports_error(workspace, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "'X'" in err and "['F', 'S']" in err
     assert not (out / "runs").exists()
+
+
+@pytest.mark.parametrize("kind", ["truncated", "text"])
+def test_unreadable_checkpoint_reports_error(workspace, capsys, kind):
+    from stegadapt.encoder import EncoderConfig
+    from stegadapt.head import HeadConfig
+    from stegadapt.model import Classifier, save_checkpoint
+
+    tmp, config = workspace
+    ckpt = tmp / "bad.npz"
+    if kind == "truncated":
+        model = Classifier.build(EncoderConfig(d_h=12), HeadConfig(d_h=12, hidden=6), seed=0, vocab_size=20)
+        save_checkpoint(ckpt, model)
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[: len(data) // 2])
+    else:
+        ckpt.write_text("not a checkpoint\n")
+    code = _run(config, tmp / "out", "evaluate", "--source", "S", "--target", "F", "--seed", "0", "--checkpoint", str(ckpt))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(ckpt) in err and "Traceback" not in err

@@ -69,6 +69,23 @@ def test_prepare_data_cache_roundtrip(tiny_cfg, tmp_path):
     assert first.vocab.id_to_token == again.vocab.id_to_token
 
 
+def test_cold_prepare_data_tokenizes_each_corpus_line_once(tiny_cfg, tmp_path, monkeypatch):
+    from stegadapt import corpus, stegogen
+
+    calls = []
+    tokenize = corpus.tokenize
+
+    def counting(line):
+        calls.append(line)
+        return tokenize(line)
+
+    monkeypatch.setattr(stegogen, "tokenize", counting)
+    monkeypatch.setattr(corpus, "tokenize", counting)
+    prepare_data(tiny_cfg, tmp_path)
+    lines = [line for path in tiny_cfg.data.domains.values() for line in Path(path).read_text().splitlines()]
+    assert sorted(calls) == sorted(lines)
+
+
 def test_prepare_data_cache_follows_corpus_contents(tiny_config_dict, tmp_path):
     from conftest import write_toy_corpus
 

@@ -11,7 +11,6 @@ from stegadapt.head import (
     adam_step,
     backward_batch,
     batch_loss_ce,
-    forward,
     forward_batch,
     init_params,
     loss_ce,
@@ -26,6 +25,11 @@ def _pad(feature_list):
     for i, f in enumerate(feature_list):
         out[i, : f.shape[0]] = f
     return out, lengths
+
+
+def _single(f, params, mode="eval", dropout_rng=None):
+    # A batch of one: its packed rows are the sample's tokens in time order.
+    return forward_batch(f[None], [len(f)], params, mode, dropout_rng)
 
 
 def _random_instance(seed, d_h=8, hidden=4, n=3, max_len=5, layers=1):
@@ -88,7 +92,7 @@ def test_zero_gate_weights_halve_states():
     params.tensors["gate.w"][:] = 0.0
     params.tensors["gate.b"][:] = 0.0
     feats = np.random.default_rng(0).normal(size=(4, 6))
-    trace = forward(feats, params)
+    trace = _single(feats, params)
     np.testing.assert_allclose(trace.gate, 0.5)
     np.testing.assert_allclose(trace.gated, 0.5 * trace.states)
 
@@ -97,8 +101,8 @@ def test_zero_classifier_gives_uniform_prediction():
     params = init_params(6, 3, seed=1)
     params.tensors["cls.w"][:] = 0.0
     params.tensors["cls.b"][:] = 0.0
-    trace = forward(np.ones((2, 6)), params)
-    np.testing.assert_allclose(trace.probs, [0.5, 0.5])
+    trace = _single(np.ones((2, 6)), params)
+    np.testing.assert_allclose(trace.probs, [[0.5, 0.5]])
 
 
 def test_zero_dynamics_give_zero_states():
@@ -106,14 +110,14 @@ def test_zero_dynamics_give_zero_states():
     for key, tensor in params.tensors.items():
         if key.startswith("lstm"):
             tensor[:] = 0.0
-    trace = forward(np.ones((1, 6)), params)
+    trace = _single(np.ones((1, 6)), params)
     np.testing.assert_array_equal(trace.states, 0.0)
     np.testing.assert_array_equal(trace.pooled, 0.0)
 
 
 def test_forward_trace_invariants():
     params, feats, _ = _random_instance(5)
-    trace = forward(feats[0], params)
+    trace = _single(feats[0], params)
     assert abs(trace.probs.sum() - 1.0) < 1e-9
     assert np.all((trace.gate > 0) & (trace.gate < 1))
     assert np.all(np.abs(trace.gated) <= np.abs(trace.states) + 1e-15)
@@ -123,13 +127,13 @@ def test_forward_trace_invariants():
 def test_forward_rejects_wrong_width():
     params = init_params(6, 3, seed=1)
     with pytest.raises(ValueError):
-        forward(np.ones((2, 5)), params)
+        _single(np.ones((2, 5)), params)
 
 
 def test_forward_raises_numeric_error_on_nonfinite():
     params = init_params(4, 2, seed=1)
     with pytest.raises(NumericError):
-        forward(np.full((2, 4), np.nan), params)
+        _single(np.full((2, 4), np.nan), params)
 
 
 def test_batch_matches_per_sample_forward():
@@ -137,10 +141,11 @@ def test_batch_matches_per_sample_forward():
     padded, lengths = _pad(feats)
     batch = forward_batch(padded, lengths, params)
     for i, f in enumerate(feats):
-        single = forward(f, params)
-        np.testing.assert_allclose(batch.probs[i], single.probs, atol=1e-12)
-        np.testing.assert_allclose(batch.pooled[i], single.pooled, atol=1e-12)
-        np.testing.assert_allclose(batch.states[i, : f.shape[0]], single.states, atol=1e-12)
+        single = _single(f, params)
+        np.testing.assert_allclose(batch.probs[i], single.probs[0], atol=1e-12)
+        np.testing.assert_allclose(batch.pooled[i], single.pooled[0], atol=1e-12)
+        # Row i's packed rows are its tokens in time order, like the single run's.
+        np.testing.assert_allclose(batch.states[batch.packing.rows == i], single.states, atol=1e-12)
 
 
 def test_gate_bypass_equals_forced_ones_bit_exact():
@@ -150,8 +155,8 @@ def test_gate_bypass_equals_forced_ones_bit_exact():
     forced.tensors["gate.w"][:] = 0.0
     forced.tensors["gate.b"][:] = 1e9  # sigmoid saturates to exactly 1.0 in float64
     feats = np.random.default_rng(3).normal(size=(5, 6))
-    a = forward(feats, bypass)
-    b = forward(feats, forced)
+    a = _single(feats, bypass)
+    b = _single(feats, forced)
     assert a.probs.tobytes() == b.probs.tobytes()
     assert a.gated.tobytes() == b.gated.tobytes()
 
@@ -163,14 +168,14 @@ def test_permutation_sensitivity_sanity():
     if f.shape[0] < 2:
         f = np.vstack([f, f + 1.0])
     permuted = f[::-1].copy()
-    assert not np.allclose(forward(f, params).probs, forward(permuted, params).probs)
+    assert not np.allclose(_single(f, params).probs, _single(permuted, params).probs)
 
     zeroed = params.clone()
     for key, tensor in zeroed.tensors.items():
         if key.startswith("lstm"):
             tensor[:] = 0.0
     np.testing.assert_array_equal(
-        forward(f, zeroed).probs, forward(permuted, zeroed).probs
+        _single(f, zeroed).probs, _single(permuted, zeroed).probs
     )
 
 
@@ -268,21 +273,25 @@ def test_batch_gradients_are_mean_of_single_row_gradients(layers):
 def test_padding_is_never_read(layers):
     params, feats, labels = _mixed_instance(9, layers=layers)
     padded, lengths = _pad(feats)
-    pad = np.arange(padded.shape[1])[None, :] >= lengths[:, None]
+    width = padded.shape[1]
     for mode in ("eval", "train"):
         ref = forward_batch(padded, lengths, params, mode, np.random.default_rng(0))
         ref_grads, ref_d = backward_batch(ref, labels, params)
-        for fill in (np.nan, 1e6):
-            filled = padded.copy()
-            filled[pad] = fill
-            trace = forward_batch(filled, lengths, params, mode, np.random.default_rng(0))
-            grads, d_feats = backward_batch(trace, labels, params)
-            assert trace.probs.tobytes() == ref.probs.tobytes()
-            assert trace.states[~pad].tobytes() == ref.states[~pad].tobytes()
-            for name in grads:
-                assert grads[name].tobytes() == ref_grads[name].tobytes(), name
-            assert d_feats.tobytes() == ref_d.tobytes()
-            assert np.all(d_feats[pad] == 0.0)
+        # Also an input 3 columns wider than its longest row.
+        for extra in (0, 3):
+            for fill in (np.nan, 1e6):
+                filled = np.concatenate([padded, np.zeros((len(feats), extra, padded.shape[2]))], axis=1)
+                pad = np.arange(width + extra)[None, :] >= lengths[:, None]
+                filled[pad] = fill
+                trace = forward_batch(filled, lengths, params, mode, np.random.default_rng(0))
+                grads, d_feats = backward_batch(trace, labels, params)
+                assert trace.probs.tobytes() == ref.probs.tobytes()
+                assert trace.states.tobytes() == ref.states.tobytes()
+                for name in grads:
+                    assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+                assert d_feats.shape == filled.shape
+                assert d_feats[:, :width].tobytes() == ref_d.tobytes()
+                assert np.all(d_feats[pad] == 0.0)
 
 
 def test_gate_bypass_gradients_are_zero_for_gate():
@@ -302,14 +311,14 @@ def test_gate_bypass_gradients_are_zero_for_gate():
 
 def test_eval_forward_is_dropout_free_and_deterministic():
     params, feats, _ = _random_instance(13, n=1)
-    a = forward(feats[0], params, mode="eval")
-    b = forward(feats[0], params, mode="eval")
+    a = _single(feats[0], params, mode="eval")
+    b = _single(feats[0], params, mode="eval")
     assert a.pooled.tobytes() == b.pooled.tobytes()
 
 
 def test_train_dropout_preserves_expectation():
     params, feats, _ = _random_instance(17, n=1)
-    eval_pooled = forward(feats[0], params, mode="eval").pooled
+    eval_pooled = _single(feats[0], params, mode="eval").pooled[0]
     padded, lengths = _pad(feats[:1])
     rng = np.random.default_rng(99)
     total = np.zeros_like(eval_pooled)

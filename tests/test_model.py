@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
-from stegadapt.head import AdamState, HeadConfig
+from stegadapt.errors import CheckpointError
+from stegadapt.head import HeadConfig
 from stegadapt.model import (
     Classifier,
     load_checkpoint,
@@ -73,18 +76,13 @@ def test_trainable_tensors_respect_stage():
 def test_checkpoint_roundtrip_restores_bit_identical_outputs(tmp_path):
     model = _model(seed=4)
     samples = _samples(9, seed=1)
-    optimizer = AdamState(step=7)
-    optimizer.m["head.cls.b"] = np.array([0.1, -0.2])
-    optimizer.v["head.cls.b"] = np.array([0.01, 0.02])
     before = model.predict(samples)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model, optimizer, extra={"stage": "pretrain", "val_acc": 0.75})
-    restored, opt, meta = load_checkpoint(path)
+    save_checkpoint(path, model, extra={"stage": "pretrain", "val_acc": 0.75})
+    restored, meta = load_checkpoint(path)
     after = restored.predict(samples)
     assert before.tobytes() == after.tobytes()
     assert models_equal(model, restored)
-    assert opt.step == 7
-    np.testing.assert_array_equal(opt.m["head.cls.b"], optimizer.m["head.cls.b"])
     assert meta["extra"]["stage"] == "pretrain"
     assert meta["hashes"] == model.component_hashes()
 
@@ -93,8 +91,38 @@ def test_checkpoint_without_optimizer(tmp_path):
     model = _model(seed=2)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model)
-    _, opt, meta = load_checkpoint(path)
-    assert opt is None and meta["adam_step"] is None
+    with np.load(path) as archive:
+        names = set(archive.files)
+    assert names == {f"head.{k}" for k in model.head.tensors} | {"encoder.embedding", "meta"}
+    _, meta = load_checkpoint(path)
+    assert "adam_step" not in meta
+
+
+def _meta_bytes(meta):
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda arrays: arrays.pop("meta"), "missing entry 'meta'"),
+        (lambda arrays: arrays.pop("head.gate.w"), "missing entry 'head.gate.w'"),
+        (lambda arrays: arrays.update(meta=np.frombuffer(b"{not json", dtype=np.uint8)), "bad metadata"),
+        (lambda arrays: arrays.update(meta=_meta_bytes([1])), "bad metadata"),
+        (lambda arrays: arrays.update(meta=_meta_bytes({"version": 99})), "unsupported checkpoint version 99"),
+        (lambda arrays: arrays.update({"head.gate.w": np.zeros((3, 3))}), r"head tensors \['gate.w'\]"),
+    ],
+)
+def test_malformed_checkpoint_raises_checkpoint_error(tmp_path, damage, message):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, _model(seed=3))
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    damage(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match=message) as info:
+        load_checkpoint(path)
+    assert info.value.path == path
 
 
 def test_interrupted_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from stegadapt.stegogen import (
     fit_lm,
     huffman_codebook,
     sample_cover,
+    tokenize_corpus,
 )
 from oracles import codebook_weighted_length, optimal_prefix_weighted_length
 
@@ -343,7 +344,7 @@ def two_corpora(tmp_path_factory):
 def test_build_domain_dataset_counts_and_labels(two_corpora):
     sea, _ = two_corpora
     result = build_domain_dataset(
-        sea, domain="S", sizes={"train": 20, "val": 5, "test": 5}, bpw=2, coding="flc",
+        tokenize_corpus(sea), domain="S", sizes={"train": 20, "val": 5, "test": 5}, bpw=2, coding="flc",
         seed=0, lm_order=1, alpha=0.5, min_freq=1, max_len=32, payload_bits=(4, 12),
     )
     ds = result.dataset
@@ -361,8 +362,8 @@ def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
         domain="S", sizes={"train": 10, "val": 2, "test": 2}, bpw=1, coding="vlc",
         seed=3, lm_order=1, alpha=0.5, min_freq=1, max_len=32, payload_bits=(4, 12),
     )
-    a = build_domain_dataset(sea, **kwargs)
-    b = build_domain_dataset(sea, **kwargs)
+    a = build_domain_dataset(tokenize_corpus(sea), **kwargs)
+    b = build_domain_dataset(tokenize_corpus(sea), **kwargs)
     assert a.dataset == b.dataset
     for name, result in (("a", a), ("b", b)):
         dataset_to_jsonl(result.dataset, tmp_path / f"{name}.jsonl", tmp_path / f"{name}_splits.jsonl")
@@ -375,7 +376,7 @@ def test_two_domains_have_distinct_unigram_distributions(two_corpora):
     shared_sizes = {"train": 20, "val": 5, "test": 5}
     results = [
         build_domain_dataset(
-            path, domain=dom, sizes=shared_sizes, bpw=1, coding="flc", seed=1,
+            tokenize_corpus(path), domain=dom, sizes=shared_sizes, bpw=1, coding="flc", seed=1,
             lm_order=1, alpha=0.5, min_freq=1, max_len=32, payload_bits=(4, 12),
         )
         for path, dom in ((sea, "S"), (farm, "F"))
@@ -397,6 +398,6 @@ def test_build_domain_dataset_rejects_oversized_payload(two_corpora):
     sea, _ = two_corpora
     with pytest.raises(ValueError, match="max_len"):
         build_domain_dataset(
-            sea, domain="S", sizes={"train": 2, "val": 1, "test": 1}, bpw=1, coding="flc",
+            tokenize_corpus(sea), domain="S", sizes={"train": 2, "val": 1, "test": 1}, bpw=1, coding="flc",
             seed=0, max_len=16, payload_bits=(4, 40), min_freq=1,
         )
