@@ -66,7 +66,6 @@ from .head import (
     batch_loss_ce,
     forward_batch,
     init_params,
-    loss_ce,
 )
 from .metrics import Metrics, compute_metrics
 from .model import Classifier, load_checkpoint, predicted_labels, save_checkpoint

@@ -37,19 +37,12 @@ class TrainConfig:
     expansion: float = 0.1
     seed: int = 0
     eval_batch_size: int = 256
-    reestimate_pseudo_labels: bool = True
-    selection_metric: str = "acc"
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.pretrain_epochs < 0 or self.finetune_rounds < 0:
             raise ValueError("epoch and round counts must be >= 0")
-        if self.selection_metric not in ("acc", "f1"):
-            raise ValueError("selection_metric must be 'acc' or 'f1'")
-
-    def metric_value(self, metrics: "Metrics") -> float:
-        return metrics.acc if self.selection_metric == "acc" else metrics.f1
 
 
 @dataclass(frozen=True)
@@ -222,9 +215,9 @@ def pretrain(
         train_loss = _train_one_epoch(work, pairs, STAGE_PRETRAIN, cfg, optimizer, shuffle_rng, dropout_rng)
         val = evaluate_model(work, val_samples, cfg.eval_batch_size)
         log.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val.acc, "val_f1": val.f1})
-        if best_acc is None or cfg.metric_value(val) > best_acc:
+        if best_acc is None or val.acc > best_acc:
             best = work.clone()
-            best_acc = cfg.metric_value(val)
+            best_acc = val.acc
             best_epoch = epoch
     return TrainResult(model=best, log=log, best_index=best_epoch, best_val_score=best_acc)
 
@@ -237,16 +230,16 @@ def finetune(
 ) -> TrainResult:
     """Progressive pseudo-label self-training on an unlabeled target pool.
 
-    Round t trains one epoch on the ``m_t`` entries that ``select_balanced``
-    picks from the current pseudo-labels, the same top fraction of each
+    Round t pseudo-labels the whole pool with the model trained through
+    round t - 1, then trains one epoch on the ``m_t`` entries that
+    ``select_balanced`` picks from them, the same top fraction of each
     pseudo-class, and logs how many of them are pseudo-labelled stego
     (``selected_stego``). The returned checkpoint is the best
-    target-validation model seen across the whole stage; the stage's
+    target-validation ACC model seen across the whole stage; the stage's
     starting checkpoint competes too (round index 0), so a run whose
     self-training rounds all degrade falls back to where it started. With
     zero rounds the input checkpoint comes back unchanged (the no-adaptation
-    ablation). Set ``cfg.reestimate_pseudo_labels`` False to freeze the first
-    round's pseudo-labels instead of refreshing them.
+    ablation).
     """
     if not target_pool:
         raise ValueError("target pool is empty")
@@ -259,18 +252,12 @@ def finetune(
     schedule = schedule_sizes(cfg.expansion, len(target_pool), cfg.finetune_rounds)
     optimizer = AdamState()
     best = work.clone()
-    best_acc = cfg.metric_value(evaluate_model(work, target_val, cfg.eval_batch_size))
+    best_acc = evaluate_model(work, target_val, cfg.eval_batch_size).acc
     best_round = 0
     previous_labels: dict[str, int] | None = None
-    first_pool: PseudoPool | None = None
     log: list[dict] = []
     for round_idx, m_t in enumerate(schedule, start=1):
-        if cfg.reestimate_pseudo_labels or first_pool is None:
-            pool = estimate_pseudo_labels(work, target_pool, cfg.eval_batch_size)
-            if first_pool is None:
-                first_pool = pool
-        else:
-            pool = first_pool
+        pool = estimate_pseudo_labels(work, target_pool, cfg.eval_batch_size)
         current_labels = pool.labels_by_id()
         if previous_labels is None:
             churn = 0.0
@@ -297,8 +284,8 @@ def finetune(
                 "val_f1": val.f1,
             }
         )
-        if cfg.metric_value(val) > best_acc:
+        if val.acc > best_acc:
             best = work.clone()
-            best_acc = cfg.metric_value(val)
+            best_acc = val.acc
             best_round = round_idx
     return TrainResult(model=best, log=log, best_index=best_round, best_val_score=best_acc)

@@ -98,7 +98,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
     data, spec = _task(cfg, args)
     for seed in _seeds(cfg, args):
         result = pretrain_stage(cfg, data, spec, seed, args.out_dir)
-        print(f"seed {seed}: best source-val {cfg.train.selection_metric.upper()} {result.best_val_score:.4f} at epoch {result.best_index}")
+        print(f"seed {seed}: best source-val ACC {result.best_val_score:.4f} at epoch {result.best_index}")
     return 0
 
 
@@ -109,7 +109,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
         model, _ = load_checkpoint(ckpt, store=data.store)
         result = adapt_stage(cfg, data, spec, seed, model, args.out_dir)
         best = "n/a" if result.best_val_score is None else f"{result.best_val_score:.4f}"
-        print(f"seed {seed}: best target-val {cfg.train.selection_metric.upper()} {best} at round {result.best_index}")
+        print(f"seed {seed}: best target-val ACC {best} at round {result.best_index}")
     return 0
 
 

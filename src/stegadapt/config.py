@@ -1,7 +1,8 @@
 """One JSON config file drives every CLI command.
 
 Sections: ``data`` (domain corpora and generation knobs), ``encoder``,
-``head``, ``train``, ``schedule`` (pseudo-label expansion), and ``eval``.
+``head``, ``train``, ``schedule`` (its one key ``p`` sets
+``TrainConfig.expansion``, the pseudo-label growth factor), and ``eval``.
 Each section's keys and defaults are the fields of the dataclass that holds
 it (``DataConfig``, ``EncoderConfig``, ``HeadConfig``, ``TrainConfig``,
 ``EvalConfig``); unknown sections or keys, and values whose type differs from
@@ -70,10 +71,6 @@ class ExperimentConfig:
     features_path: str | None = None
 
 
-# Config key -> TrainConfig field for the two ``schedule`` knobs.
-_SCHEDULE_KEYS = {"p": "expansion", "reestimate": "reestimate_pseudo_labels"}
-
-
 def _defaults(cls, *not_keys: str) -> dict:
     return {
         f.name: f.default if f.default is not MISSING else f.default_factory()
@@ -89,8 +86,8 @@ _SECTION_DEFAULTS = {
     "data": _defaults(DataConfig),
     "encoder": _defaults(EncoderConfig, "seed") | {"features_path": None},
     "head": _defaults(HeadConfig, "d_h", "gate_bypass"),
-    "train": _defaults(TrainConfig, "seed", *_SCHEDULE_KEYS.values()),
-    "schedule": {key: getattr(TrainConfig, name) for key, name in _SCHEDULE_KEYS.items()},
+    "train": _defaults(TrainConfig, "seed", "expansion"),
+    "schedule": {"p": TrainConfig.expansion},
     "eval": _defaults(EvalConfig),
 }
 
@@ -135,8 +132,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     features_path = encoder_kwargs.pop("features_path", None)
     encoder = EncoderConfig(**encoder_kwargs)
     head = HeadConfig(d_h=encoder.d_h, **_section(raw, "head"))
-    schedule = {_SCHEDULE_KEYS[key]: value for key, value in _section(raw, "schedule").items()}
-    train = TrainConfig(**_section(raw, "train"), **schedule)
+    expansion = _section(raw, "schedule").get("p", TrainConfig.expansion)
+    train = TrainConfig(**_section(raw, "train"), expansion=expansion)
     return ExperimentConfig(
         data=data,
         encoder=encoder,

@@ -337,19 +337,35 @@ def dataset_to_jsonl(dataset: DomainDataset, samples_path: str | Path, manifest_
     write_split_manifest(dataset, manifest_path)
 
 
-def dataset_from_jsonl(samples_path: str | Path, manifest_path: str | Path) -> DomainDataset:
-    samples = {s.id: s for s in load_corpus(samples_path)}
+def dataset_from_jsonl(
+    samples_path: str | Path, manifest_path: str | Path, vocab: Vocab | None = None
+) -> DomainDataset:
+    """Read a dataset that :func:`dataset_to_jsonl` wrote; ``vocab`` is passed to :func:`load_corpus`.
+
+    A split record that is not valid JSON, not an object, lacks ``id``,
+    ``split`` or ``role``, or names an unknown split/role or sample raises
+    :class:`CorpusError` with its line number, as does an empty samples file.
+    """
+    samples = {s.id: s for s in load_corpus(samples_path, vocab=vocab)}
+    if not samples:
+        raise CorpusError(f"{samples_path} holds no sample records")
     parts: dict[str, list[TextSample]] = {attr: [] for _, _, attr in _SPLIT_ROLES}
     with open(manifest_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"invalid JSON in split record ({exc.msg})", line=lineno) from exc
+            if not isinstance(rec, dict) or not {"id", "split", "role"} <= rec.keys():
+                raise CorpusError("split record must be an object with 'id', 'split' and 'role'", line=lineno)
             attr = f"{rec['split']}_{rec['role']}"
             if attr not in parts:
                 raise CorpusError(f"unknown split/role {rec['split']}/{rec['role']}", line=lineno)
-            if rec["id"] not in samples:
-                raise CorpusError(f"manifest id {rec['id']!r} missing from samples", line=lineno)
-            parts[attr].append(samples[rec["id"]])
+            sid = str(rec["id"])
+            if sid not in samples:
+                raise CorpusError(f"manifest id {sid!r} missing from samples", line=lineno)
+            parts[attr].append(samples[sid])
     domain = next(iter(samples.values())).domain
     return DomainDataset(domain=domain, **parts)

@@ -1,26 +1,25 @@
 """Domain-common contextual features, frozen with respect to adaptation.
 
-Two encoders satisfy the same contract: ``builtin`` sums a trainable token
-embedding table with fixed sinusoidal position codes (trained during source
-pretraining, frozen afterwards), and ``precomputed`` serves per-sample
-feature matrices loaded from a file, standing in for features exported by a
-large pretrained model.
+Two encoders satisfy the same contract, and the kind alone says when each is
+trained: ``builtin`` sums a token embedding table with fixed sinusoidal
+position codes and trains the table during source pretraining only, frozen
+afterwards; ``precomputed`` serves per-sample feature matrices loaded from a
+file, standing in for features exported by a large pretrained model, and is
+never trained.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import PAD, UNK, TextSample
 from .errors import CorpusError, FeatureLookupError, IntegrityError
 
-FREEZE_POLICIES = ("always", "after_pretrain")
 STAGE_PRETRAIN = "pretrain"
 STAGE_FINETUNE = "finetune"
 
@@ -29,7 +28,6 @@ STAGE_FINETUNE = "finetune"
 class EncoderConfig:
     kind: str = "builtin"
     d_h: int = 64
-    freeze_policy: str = "after_pretrain"
     seed: int = 0
 
     def __post_init__(self):
@@ -37,10 +35,6 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.d_h < 2:
             raise ValueError(f"d_h must be >= 2, got {self.d_h}")
-        if self.freeze_policy not in FREEZE_POLICIES:
-            raise ValueError(f"freeze_policy must be one of {FREEZE_POLICIES}")
-        if self.kind == "precomputed" and self.freeze_policy != "always":
-            raise ValueError("precomputed features are always frozen")
 
 
 def sinusoidal_positions(length: int, d_h: int) -> np.ndarray:
@@ -111,7 +105,7 @@ class BuiltinEncoder:
     # -- training hooks ----------------------------------------------------
 
     def trainable_tensors(self, stage: str) -> dict[str, np.ndarray]:
-        if stage == STAGE_PRETRAIN and self.config.freeze_policy == "after_pretrain":
+        if stage == STAGE_PRETRAIN:
             return {"encoder.embedding": self.table}
         return {}
 
@@ -122,12 +116,6 @@ class BuiltinEncoder:
         np.add.at(grad, ids[mask], d_features[mask])
         grad[PAD] = 0.0
         return {"encoder.embedding": grad}
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(str(self.table.shape).encode())
-        digest.update(np.ascontiguousarray(self.table).tobytes())
-        return digest.hexdigest()
 
     def clone(self) -> "BuiltinEncoder":
         return BuiltinEncoder(self.config, self.vocab_size, table=self.table.copy())
@@ -172,13 +160,6 @@ class PrecomputedEncoder:
     def gradient_tensors(self, ids, d_features, lengths) -> dict[str, np.ndarray]:
         return {}
 
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for sid in sorted(self.store):
-            digest.update(sid.encode())
-            digest.update(np.ascontiguousarray(self.store[sid]).tobytes())
-        return digest.hexdigest()
-
     def clone(self) -> "PrecomputedEncoder":
         return PrecomputedEncoder(self.config, self.store)
 
@@ -217,14 +198,6 @@ def load_precomputed(path: str | Path) -> tuple[dict[str, np.ndarray], int | Non
                 raise CorpusError(f"feature rows for {sid!r} are not uniformly d_h={d_h} wide", line=lineno)
             store[sid] = np.asarray(rows, dtype=np.float64)
     return store, d_h
-
-
-def save_precomputed(store: dict[str, Iterable], d_h: int, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"d_h": d_h}) + "\n")
-        for sid in store:
-            rows = np.asarray(store[sid], dtype=np.float64)
-            fh.write(json.dumps({"id": sid, "h": rows.tolist()}) + "\n")
 
 
 def make_encoder(

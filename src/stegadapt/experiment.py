@@ -109,21 +109,24 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     ids mean the same thing on both sides of every task; each domain then
     gets its own language model and generated dataset. Generated domains
     come from the cache when it is complete; every other step is the same
-    for a cold and a warm cache.
+    for a cold and a warm cache. A ``vocab.json`` in any ``dataset_dirs``
+    directory is the shared vocabulary (they must agree), and it encodes
+    every directory's ``text`` records and surface tokens.
     """
     from .corpus import build_vocab
 
     datasets: dict[str, DomainDataset] = {}
     vocab: Vocab | None = None
-    for tag, dirname in sorted(cfg.data.dataset_dirs.items()):
-        directory = Path(dirname)
-        datasets[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl")
-        vocab_file = directory / "vocab.json"
+    for dirname in sorted(cfg.data.dataset_dirs.values()):
+        vocab_file = Path(dirname) / "vocab.json"
         if vocab_file.exists():
             loaded = Vocab.from_json(vocab_file.read_text(encoding="utf-8"))
             if vocab is not None and loaded.id_to_token != vocab.id_to_token:
                 raise CorpusError("dataset_dirs disagree on the vocabulary")
             vocab = loaded
+    for tag, dirname in sorted(cfg.data.dataset_dirs.items()):
+        directory = Path(dirname)
+        datasets[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl", vocab=vocab)
 
     generated_tags = [t for t in cfg.data.domain_tags() if t not in datasets]
     cache_root = None

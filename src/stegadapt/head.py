@@ -310,14 +310,6 @@ def forward_batch(
 # ---------------------------------------------------------------------------
 
 
-def loss_ce(pred: Sequence[float], label: int) -> float:
-    """Binary cross-entropy with the stego probability, clamped before logs."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    p = float(np.clip(pred[1], LOG_EPS, 1.0 - LOG_EPS))
-    return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
-
-
 def batch_loss_ce(probs: np.ndarray, labels: Sequence[int]) -> float:
     """Mean cross-entropy over a batch."""
     labels = np.asarray(labels)

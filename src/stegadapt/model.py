@@ -99,9 +99,7 @@ class Classifier:
     def component_hashes(self) -> dict[str, str]:
         enc = self.encoder.config
         return {
-            "encoder": config_hash(
-                {"kind": enc.kind, "d_h": enc.d_h, "freeze_policy": enc.freeze_policy}
-            ),
+            "encoder": config_hash({"kind": enc.kind, "d_h": enc.d_h}),
             "head": config_hash(asdict(self.head.config)),
         }
 
@@ -173,7 +171,11 @@ def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classi
         if meta["version"] != CHECKPOINT_VERSION:
             raise CheckpointError(path, f"unsupported checkpoint version {meta['version']!r}")
         head_config = HeadConfig(**meta["head_config"])
-        enc_config = EncoderConfig(**meta["encoder_config"])
+        # Older checkpoints also store a ``freeze_policy``; the encoder kind
+        # now sets it, and a loaded model is frozen under either policy.
+        enc_fields = dict(meta["encoder_config"])
+        enc_fields.pop("freeze_policy", None)
+        enc_config = EncoderConfig(**enc_fields)
         reference = init_params(head_config.d_h, head_config.hidden, 0, head_config.layers, head_config).tensors
         head_tensors = {name: arrays[f"head.{name}"] for name in reference}
         misshapen = [name for name, tensor in reference.items() if head_tensors[name].shape != tensor.shape]
@@ -189,18 +191,3 @@ def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classi
         raise CheckpointError(path, f"bad metadata ({exc})") from exc
     return Classifier(encoder=encoder, head=HeadParams(head_config, head_tensors)), meta
 
-
-def models_equal(a: Classifier, b: Classifier) -> bool:
-    """Bitwise equality of every parameter tensor."""
-    if a.head.tensors.keys() != b.head.tensors.keys():
-        return False
-    for key in a.head.tensors:
-        if a.head.tensors[key].tobytes() != b.head.tensors[key].tobytes():
-            return False
-    ta = getattr(a.encoder, "table", None)
-    tb = getattr(b.encoder, "table", None)
-    if (ta is None) != (tb is None):
-        return False
-    if ta is not None and ta.tobytes() != tb.tobytes():
-        return False
-    return True

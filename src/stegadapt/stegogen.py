@@ -93,19 +93,6 @@ class MarkovLM:
 
     # -- queries ---------------------------------------------------------
 
-    def next_distribution(self, history: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Full smoothed distribution (ids, probs) given the last tokens."""
-        stats = self._stats(self._context_key(history))
-        total = stats.total if stats else 0
-        denom = total + self.alpha * len(self.support)
-        if denom <= 0:
-            raise ValueError("context has no continuations and alpha is 0")
-        probs = np.full(len(self.support), self.alpha / denom)
-        if stats is not None:
-            idx = np.searchsorted(self.support, stats.ids)
-            probs[idx] += stats.counts / denom
-        return self.support.copy(), probs
-
     def ranked_candidates(self, history: Sequence[int], n: int, exclude_eos: bool = True) -> list[int]:
         """Top-n next tokens by probability desc, ties by id asc.
 
@@ -354,8 +341,6 @@ def extract_bits(
 @dataclass(frozen=True)
 class GenerationResult:
     dataset: DomainDataset
-    vocab: Vocab
-    lm: MarkovLM
     manifest: dict
 
 
@@ -376,14 +361,13 @@ def build_domain_dataset(
     bpw: int,
     coding: str,
     seed: int,
+    vocab: Vocab,
     lm_order: int = 2,
     alpha: float = 0.5,
-    vocab: Vocab | None = None,
-    min_freq: int = 2,
     max_len: int = 64,
     payload_bits: tuple[int, int] = (16, 48),
 ) -> GenerationResult:
-    """Fit a domain LM on tokenized texts and generate a full cover/stego dataset.
+    """Fit a domain LM on ``vocab``-encoded texts and generate a full cover/stego dataset.
 
     One LM per domain produces the covers and the stego texts for every
     split. Per-sample RNG streams are derived from (seed, class, index) so
@@ -396,10 +380,6 @@ def build_domain_dataset(
     if hi > max_len:
         raise ValueError(f"payload_bits upper bound {hi} exceeds max_len {max_len}")
 
-    if vocab is None:
-        from .corpus import build_vocab
-
-        vocab = build_vocab(texts, min_freq=min_freq)
     sequences = [vocab.encode(t) for t in texts]
     lm = fit_lm(sequences, vocab, order=lm_order, alpha=alpha)
 
@@ -448,11 +428,10 @@ def build_domain_dataset(
         "seed": seed,
         "payload_len": [lo, hi],
         "max_len": max_len,
-        "min_freq": min_freq,
         "vocab_size": vocab.size,
         "sizes": dict(sizes),
     }
-    return GenerationResult(dataset=dataset, vocab=vocab, lm=lm, manifest=manifest)
+    return GenerationResult(dataset=dataset, manifest=manifest)
 
 
 def write_manifest(manifest: Mapping, path: str | Path) -> None:

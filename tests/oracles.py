@@ -2,12 +2,18 @@
 
 These deliberately avoid the library's own code paths: optimal prefix-code
 length is computed from the complete list of full-binary-tree depth profiles,
-and gradients are checked by central finite differences on the public loss.
+gradients are checked by central finite differences on the public loss, and
+model equality, encoder checksums, the per-sample loss and the full
+next-token distribution are computed from public tensors and ``step_probs``.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+
+from stegadapt.head import LOG_EPS
 
 # Depth multisets of all full binary trees with n <= 4 leaves. An optimal
 # prefix code is always a full tree, so minimizing expected length over these
@@ -80,3 +86,37 @@ def max_gradient_mismatch(
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def models_equal(a, b) -> bool:
+    """Bitwise equality of every head tensor and of the builtin embedding table."""
+    if a.head.tensors.keys() != b.head.tensors.keys():
+        return False
+    if any(a.head.tensors[k].tobytes() != b.head.tensors[k].tobytes() for k in a.head.tensors):
+        return False
+    ta = getattr(a.encoder, "table", None)
+    tb = getattr(b.encoder, "table", None)
+    if (ta is None) != (tb is None):
+        return False
+    return ta is None or ta.tobytes() == tb.tobytes()
+
+
+def encoder_checksum(encoder) -> str:
+    """SHA-256 of a builtin encoder's embedding table and its shape."""
+    digest = hashlib.sha256()
+    digest.update(str(encoder.table.shape).encode())
+    digest.update(np.ascontiguousarray(encoder.table).tobytes())
+    return digest.hexdigest()
+
+
+def loss_ce(pred, label: int) -> float:
+    """Binary cross-entropy of one prediction with the stego probability, clamped before logs."""
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    p = float(np.clip(pred[1], LOG_EPS, 1.0 - LOG_EPS))
+    return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
+
+
+def next_distribution(lm, history) -> tuple[np.ndarray, np.ndarray]:
+    """The LM's full smoothed next-token distribution (ids, probs) after ``history``."""
+    return lm.support.copy(), lm.step_probs(history, lm.support)

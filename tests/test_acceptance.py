@@ -41,12 +41,13 @@ from stegadapt.head import (
     init_params,
 )
 from stegadapt.metrics import compute_metrics
-from stegadapt.model import Classifier, models_equal
+from stegadapt.model import Classifier
 from stegadapt.stegogen import embed_flc, embed_vlc, extract_bits, fit_lm, huffman_codebook
 from oracles import (
     central_difference_grads,
     codebook_weighted_length,
     max_gradient_mismatch,
+    models_equal,
     optimal_prefix_weighted_length,
 )
 

@@ -18,7 +18,8 @@ from stegadapt.adapt import (
 from stegadapt.corpus import TextSample, strip_labels
 from stegadapt.encoder import EncoderConfig
 from stegadapt.head import HeadConfig
-from stegadapt.model import Classifier, models_equal
+from stegadapt.model import Classifier
+from oracles import encoder_checksum, models_equal
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +303,9 @@ def test_finetune_round_log_matches_schedule():
 
 def test_finetune_keeps_encoder_frozen():
     start = pretrain(_toy_model(), _toy_samples(16), _toy_samples(8), _toy_cfg(pretrain_epochs=2)).model
-    checksum_before = start.encoder.checksum()
+    checksum_before = encoder_checksum(start.encoder)
     result = finetune(start, strip_labels(_toy_samples(20, seed=5)), _toy_samples(8, seed=6), _toy_cfg())
-    assert result.model.encoder.checksum() == checksum_before
+    assert encoder_checksum(result.model.encoder) == checksum_before
 
 
 def test_finetune_reports_globally_best_round():
@@ -337,9 +338,29 @@ def test_finetune_deterministic_and_input_untouched():
     assert models_equal(start, snapshot)
 
 
-def test_finetune_frozen_pseudo_label_variant():
+def test_finetune_reestimates_pseudo_labels_every_round(monkeypatch):
+    """Round t pseudo-labels the pool with the model trained through round t - 1."""
+    import stegadapt.adapt as adapt_module
+
+    events = []
+    real_estimate, real_train = adapt_module.estimate_pseudo_labels, adapt_module._train_one_epoch
+
+    def estimate(model, samples, batch_size=256):
+        events.append(("estimate", model.clone()))
+        return real_estimate(model, samples, batch_size)
+
+    def train(model, *args):
+        loss = real_train(model, *args)
+        events.append(("train", model.clone()))
+        return loss
+
+    monkeypatch.setattr(adapt_module, "estimate_pseudo_labels", estimate)
+    monkeypatch.setattr(adapt_module, "_train_one_epoch", train)
     start = _toy_model()
-    pool = strip_labels(_toy_samples(20, seed=5))
-    val = _toy_samples(8, seed=6)
-    frozen = finetune(start, pool, val, _toy_cfg(reestimate_pseudo_labels=False))
-    assert all(rec["churn"] == 0.0 for rec in frozen.log)
+    finetune(start, strip_labels(_toy_samples(20, seed=5)), _toy_samples(8, seed=6), _toy_cfg(finetune_rounds=3))
+    assert [kind for kind, _ in events] == ["estimate", "train"] * 3
+    assert models_equal(events[0][1], start)
+    for t in (1, 2):
+        estimated = events[2 * t][1]
+        assert models_equal(estimated, events[2 * t - 1][1])
+        assert not models_equal(estimated, events[2 * t - 2][1])

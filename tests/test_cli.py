@@ -119,6 +119,9 @@ def test_unknown_config_key_reports_error(tmp_path, capsys):
         ({"data": 3}, "'data'"),
         ({"data": {"domains": {"A": "x"}, "train": "many"}}, "'train'"),
         ({"data": {"domains": {"A": "x"}}, "eval": {"seeds": 3}}, "'seeds'"),
+        ({"data": {"domains": {"A": "x"}}, "encoder": {"freeze_policy": "after_pretrain"}}, "'freeze_policy'"),
+        ({"data": {"domains": {"A": "x"}}, "schedule": {"p": 0.1, "reestimate": True}}, "'reestimate'"),
+        ({"data": {"domains": {"A": "x"}}, "train": {"selection_metric": "acc"}}, "'selection_metric'"),
     ],
 )
 def test_mistyped_config_reports_error(tmp_path, capsys, raw, named):
@@ -168,3 +171,59 @@ def test_unreadable_checkpoint_reports_error(workspace, capsys, kind):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and str(ckpt) in err and "Traceback" not in err
+
+
+def test_dataset_dirs_text_records_use_the_shared_vocab(tmp_path, tiny_config_dict):
+    """``text`` records are encoded with the ``vocab.json`` that one dataset directory holds, as the ids were."""
+    from stegadapt.config import config_from_dict
+    from stegadapt.corpus import dataset_to_jsonl
+    from stegadapt.experiment import prepare_data
+
+    data = prepare_data(config_from_dict(tiny_config_dict))
+    logs = {}
+    for form in ("tokens", "text"):
+        dirs = {}
+        for tag, ds in data.datasets.items():
+            directory = tmp_path / form / tag
+            directory.mkdir(parents=True)
+            dataset_to_jsonl(ds, directory / "samples.jsonl", directory / "splits.jsonl")
+            if tag == "S":
+                (directory / "vocab.json").write_text(data.vocab.to_json() + "\n")
+            if form == "text":
+                records = [json.loads(line) for line in (directory / "samples.jsonl").read_text().splitlines()]
+                for rec in records:
+                    rec["text"] = " ".join(data.vocab.decode(rec.pop("tokens")))
+                (directory / "samples.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+            dirs[tag] = str(directory)
+        config = tmp_path / f"{form}.json"
+        config.write_text(json.dumps({**tiny_config_dict, "data": {"dataset_dirs": dirs}}))
+        out = tmp_path / f"out_{form}"
+        assert _run(config, out, "pretrain", "--source", "S", "--target", "F", "--seed", "0") == 0
+        logs[form] = (out / "runs" / "S__F" / "none" / "seed0" / "pretrain_log.jsonl").read_bytes()
+    assert logs["text"] == logs["tokens"]
+
+
+_GOOD_SPLIT = '{"id": "H0", "split": "train", "role": "cover"}\n'
+
+
+@pytest.mark.parametrize(
+    "samples, splits, named",
+    [
+        ('{"id": "H0", "tokens": [4, 5], "label": "cover", "domain": "H"}\n', '{"id": "H0"}\n', "line 1:"),
+        ('{"id": "H0", "tokens": [4, 5], "label": "cover", "domain": "H"}\n', "[1]\n", "line 1:"),
+        ('{"id": "H0", "tokens": [4, 5], "label": "cover", "domain": "H"}\n', _GOOD_SPLIT + "{not json\n", "line 2:"),
+        ("", "", "no sample records"),
+    ],
+    ids=["missing-keys", "not-an-object", "bad-json", "empty"],
+)
+def test_malformed_split_records_report_error(tmp_path, capsys, samples, splits, named):
+    directory = tmp_path / "H"
+    directory.mkdir()
+    (directory / "samples.jsonl").write_text(samples)
+    (directory / "splits.jsonl").write_text(splits)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"dataset_dirs": {"H": str(directory)}}}))
+    code = main(["gen-data", "-c", str(config), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and named in err and "Traceback" not in err

@@ -30,7 +30,7 @@ EVERY_KEY = {
         "payload_bits": [2, 6],
         "seed": 3,
     },
-    "encoder": {"kind": "precomputed", "d_h": 8, "freeze_policy": "always", "features_path": "f.jsonl"},
+    "encoder": {"kind": "precomputed", "d_h": 8, "features_path": "f.jsonl"},
     "head": {"hidden": 4, "layers": 2, "dropout_keep": 0.75},
     "train": {
         "lr": 0.01,
@@ -38,9 +38,8 @@ EVERY_KEY = {
         "pretrain_epochs": 3,
         "finetune_rounds": 2,
         "eval_batch_size": 32,
-        "selection_metric": "f1",
     },
-    "schedule": {"p": 0.25, "reestimate": False},
+    "schedule": {"p": 0.25},
     "eval": {"seeds": [7, 8]},
 }
 SECTION_CLASSES = {
@@ -67,11 +66,10 @@ def test_every_key_maps_to_its_field():
             domains={"A": "a.txt"}, dataset_dirs={"B": "b"}, lm_order=1, alpha=0.25, min_freq=1, max_len=10,
             train=5, val=2, test=3, bpw=2, coding="vlc", payload_bits=(2, 6), seed=3,
         ),
-        encoder=EncoderConfig(kind="precomputed", d_h=8, freeze_policy="always"),
+        encoder=EncoderConfig(kind="precomputed", d_h=8),
         head=HeadConfig(d_h=8, hidden=4, layers=2, dropout_keep=0.75),
         train=TrainConfig(
-            lr=0.01, batch_size=4, pretrain_epochs=3, finetune_rounds=2, eval_batch_size=32,
-            selection_metric="f1", expansion=0.25, reestimate_pseudo_labels=False,
+            lr=0.01, batch_size=4, pretrain_epochs=3, finetune_rounds=2, eval_batch_size=32, expansion=0.25,
         ),
         eval=EvalConfig(seeds=(7, 8)),
         features_path="f.jsonl",
@@ -100,7 +98,7 @@ def test_section_rejects_every_other_field_name(section):
         ("data", "domains", {"A": 3}),
         ("encoder", "features_path", 5),
         ("head", "dropout_keep", False),
-        ("schedule", "reestimate", 1),
+        ("schedule", "p", "0.25"),
         ("eval", "seeds", 3),
     ],
 )

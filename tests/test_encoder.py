@@ -10,10 +10,11 @@ from stegadapt.encoder import (
     PrecomputedEncoder,
     load_precomputed,
     make_encoder,
-    save_precomputed,
     sinusoidal_positions,
 )
 from stegadapt.errors import CorpusError, FeatureLookupError, IntegrityError
+from feature_store import save_precomputed
+from oracles import encoder_checksum
 
 
 def _sample(tokens, sid="s0"):
@@ -23,8 +24,6 @@ def _sample(tokens, sid="s0"):
 def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(kind="builtin", d_h=1)
-    with pytest.raises(ValueError):
-        EncoderConfig(kind="precomputed", freeze_policy="after_pretrain")
     with pytest.raises(ValueError):
         EncoderConfig(kind="transformer")
 
@@ -65,15 +64,15 @@ def test_builtin_deterministic_by_seed():
     a = BuiltinEncoder(EncoderConfig(d_h=8, seed=7), vocab_size=10)
     b = BuiltinEncoder(EncoderConfig(d_h=8, seed=7), vocab_size=10)
     np.testing.assert_array_equal(a.table, b.table)
-    assert a.checksum() == b.checksum()
+    assert encoder_checksum(a) == encoder_checksum(b)
 
 
 def test_builtin_frozen_checksum_stable_under_encoding():
     enc = BuiltinEncoder(EncoderConfig(d_h=8, seed=0), vocab_size=10)
-    before = enc.checksum()
+    before = encoder_checksum(enc)
     enc.encode(_sample((4, 5)))
     enc.encode_batch([_sample((4,)), _sample((5, 6, 7), sid="s1")])
-    assert enc.checksum() == before
+    assert encoder_checksum(enc) == before
 
 
 def test_builtin_batch_matches_single_encoding():
@@ -88,11 +87,14 @@ def test_builtin_batch_matches_single_encoding():
 
 
 def test_builtin_trainable_only_during_pretrain():
-    enc = BuiltinEncoder(EncoderConfig(d_h=8, freeze_policy="after_pretrain"), vocab_size=10)
+    enc = BuiltinEncoder(EncoderConfig(d_h=8), vocab_size=10)
     assert "encoder.embedding" in enc.trainable_tensors("pretrain")
     assert enc.trainable_tensors("finetune") == {}
-    frozen = BuiltinEncoder(EncoderConfig(d_h=8, freeze_policy="always"), vocab_size=10)
-    assert frozen.trainable_tensors("pretrain") == {}
+
+
+def test_precomputed_never_trainable():
+    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8), {"a": np.zeros((2, 8))})
+    assert enc.trainable_tensors("pretrain") == {} and enc.trainable_tensors("finetune") == {}
 
 
 def test_builtin_gradient_accumulates_per_token_rows():
@@ -116,7 +118,7 @@ def test_precomputed_roundtrip_and_passthrough(tmp_path):
     save_precomputed({"a": matrix, "b": matrix + 1}, d_h=8, path=path)
     store, d_h = load_precomputed(path)
     assert d_h == 8 and len(store) == 2
-    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8, freeze_policy="always"), store)
+    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8), store)
     np.testing.assert_array_equal(enc.encode(_sample((4,), "a")), matrix)
 
 
@@ -140,7 +142,7 @@ def test_precomputed_empty_file_then_lookup_error(tmp_path):
     path.write_text("")
     store, d_h = load_precomputed(path)
     assert store == {} and d_h is None
-    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8, freeze_policy="always"), store)
+    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8), store)
     with pytest.raises(FeatureLookupError):
         enc.encode(_sample((4,), "missing"))
 
@@ -148,7 +150,7 @@ def test_precomputed_empty_file_then_lookup_error(tmp_path):
 def test_make_encoder_dispatch():
     builtin = make_encoder(EncoderConfig(d_h=8), vocab_size=10)
     assert isinstance(builtin, BuiltinEncoder)
-    pre = make_encoder(EncoderConfig(kind="precomputed", d_h=8, freeze_policy="always"), store={})
+    pre = make_encoder(EncoderConfig(kind="precomputed", d_h=8), store={})
     assert isinstance(pre, PrecomputedEncoder)
     with pytest.raises(ValueError):
         make_encoder(EncoderConfig(d_h=8))

@@ -11,7 +11,7 @@ from stegadapt.config import config_from_dict
 from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.head import HeadConfig
-from stegadapt.model import Classifier, models_equal
+from stegadapt.model import Classifier
 from stegadapt.experiment import (
     TaskResult,
     TaskSpec,
@@ -28,6 +28,7 @@ from stegadapt.experiment import (
     write_markdown_summary,
     write_rows_csv,
 )
+from oracles import models_equal
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ def test_prepare_data_cache_follows_corpus_contents(tiny_config_dict, tmp_path):
 
 
 def test_prepare_data_checks_feature_store_width_on_warm_cache(tiny_config_dict, tmp_path):
-    from stegadapt.encoder import save_precomputed
+    from feature_store import save_precomputed
     from stegadapt.errors import CorpusError
 
     features_path = tmp_path / "features.jsonl"
@@ -304,7 +305,7 @@ def test_precomputed_feature_pipeline_end_to_end(tiny_cfg, tiny_data, tmp_path):
     import numpy as np
 
     from stegadapt.corpus import dataset_to_jsonl
-    from stegadapt.encoder import save_precomputed
+    from feature_store import save_precomputed
 
     d_h = 8
     rng = np.random.default_rng(0)
@@ -324,8 +325,7 @@ def test_precomputed_feature_pipeline_end_to_end(tiny_cfg, tiny_data, tmp_path):
     cfg = config_from_dict(
         {
             "data": {"dataset_dirs": dataset_dirs},
-            "encoder": {"kind": "precomputed", "d_h": d_h, "freeze_policy": "always",
-                        "features_path": str(features_path)},
+            "encoder": {"kind": "precomputed", "d_h": d_h, "features_path": str(features_path)},
             "head": {"hidden": 4},
             "train": {"lr": 0.01, "batch_size": 8, "pretrain_epochs": 3, "finetune_rounds": 1},
             "schedule": {"p": 0.5},

@@ -13,9 +13,8 @@ from stegadapt.head import (
     batch_loss_ce,
     forward_batch,
     init_params,
-    loss_ce,
 )
-from oracles import central_difference_grads, max_gradient_mismatch
+from oracles import central_difference_grads, loss_ce, max_gradient_mismatch
 
 
 def _pad(feature_list):

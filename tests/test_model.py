@@ -9,13 +9,8 @@ from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.errors import CheckpointError
 from stegadapt.head import HeadConfig
-from stegadapt.model import (
-    Classifier,
-    load_checkpoint,
-    models_equal,
-    predicted_labels,
-    save_checkpoint,
-)
+from stegadapt.model import Classifier, load_checkpoint, predicted_labels, save_checkpoint
+from oracles import models_equal
 
 
 def _samples(n, seed=0, vocab_size=20):
@@ -96,6 +91,25 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert names == {f"head.{k}" for k in model.head.tensors} | {"encoder.embedding", "meta"}
     _, meta = load_checkpoint(path)
     assert "adam_step" not in meta
+
+
+@pytest.mark.parametrize("policy", ["after_pretrain", "always"])
+def test_checkpoint_with_stored_freeze_policy_loads_bit_identical(tmp_path, policy):
+    """Checkpoints from before the encoder kind set the freeze rule carry ``freeze_policy``."""
+    model = _model(seed=5)
+    samples = _samples(9, seed=2)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["encoder_config"]["freeze_policy"] = policy
+    arrays["meta"] = _meta_bytes(meta)
+    np.savez(path, **arrays)
+    restored, stored = load_checkpoint(path)
+    assert stored["encoder_config"]["freeze_policy"] == policy
+    assert restored.predict(samples).tobytes() == model.predict(samples).tobytes()
+    assert models_equal(model, restored)
 
 
 def _meta_bytes(meta):

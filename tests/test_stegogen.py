@@ -18,7 +18,7 @@ from stegadapt.stegogen import (
     sample_cover,
     tokenize_corpus,
 )
-from oracles import codebook_weighted_length, optimal_prefix_weighted_length
+from oracles import codebook_weighted_length, next_distribution, optimal_prefix_weighted_length
 
 
 def _vocab(words):
@@ -42,7 +42,7 @@ def test_fit_lm_single_continuation():
     vocab = _vocab("ab")
     a, b = vocab.encode(["a", "b"])
     lm = fit_lm([vocab.encode(["a", "b", "a", "b"])], vocab, order=1, alpha=0.0)
-    ids, probs = lm.next_distribution([a])
+    ids, probs = next_distribution(lm, [a])
     assert probs[list(ids).index(b)] == 1.0
 
 
@@ -50,7 +50,7 @@ def test_fit_lm_smoothing_gives_unseen_mass():
     vocab = _vocab("ab")
     a, b = vocab.encode(["a", "b"])
     lm = fit_lm([(a, b)], vocab, order=1, alpha=1.0)
-    ids, probs = lm.next_distribution([b])  # b was only followed by EOS
+    ids, probs = next_distribution(lm, [b])  # b was only followed by EOS
     support = len(ids)
     total = 1  # one observed continuation (EOS)
     unseen = probs[list(ids).index(a)]
@@ -66,8 +66,8 @@ def test_fit_lm_doubled_corpus_same_relative_frequencies():
     a = vocab.encode_token("a")
     for ctx_counts, doubled in zip(one.counts.items(), two.counts.items()):
         assert doubled[1] == {t: 2 * c for t, c in ctx_counts[1].items()}
-    _, p_one = one.next_distribution([a])
-    _, p_two = two.next_distribution([a])
+    _, p_one = next_distribution(one, [a])
+    _, p_two = next_distribution(two, [a])
     np.testing.assert_allclose(p_one, p_two)
 
 
@@ -343,9 +343,10 @@ def two_corpora(tmp_path_factory):
 
 def test_build_domain_dataset_counts_and_labels(two_corpora):
     sea, _ = two_corpora
+    texts = tokenize_corpus(sea)
     result = build_domain_dataset(
-        tokenize_corpus(sea), domain="S", sizes={"train": 20, "val": 5, "test": 5}, bpw=2, coding="flc",
-        seed=0, lm_order=1, alpha=0.5, min_freq=1, max_len=32, payload_bits=(4, 12),
+        texts, domain="S", sizes={"train": 20, "val": 5, "test": 5}, bpw=2, coding="flc",
+        seed=0, vocab=build_vocab(texts, min_freq=1), lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
     )
     ds = result.dataset
     assert ds.n_train == 40
@@ -360,7 +361,8 @@ def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
     sea, _ = two_corpora
     kwargs = dict(
         domain="S", sizes={"train": 10, "val": 2, "test": 2}, bpw=1, coding="vlc",
-        seed=3, lm_order=1, alpha=0.5, min_freq=1, max_len=32, payload_bits=(4, 12),
+        seed=3, vocab=build_vocab(tokenize_corpus(sea), min_freq=1), lm_order=1, alpha=0.5, max_len=32,
+        payload_bits=(4, 12),
     )
     a = build_domain_dataset(tokenize_corpus(sea), **kwargs)
     b = build_domain_dataset(tokenize_corpus(sea), **kwargs)
@@ -374,12 +376,14 @@ def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
 def test_two_domains_have_distinct_unigram_distributions(two_corpora):
     sea, farm = two_corpora
     shared_sizes = {"train": 20, "val": 5, "test": 5}
+    texts = [tokenize_corpus(path) for path in (sea, farm)]
+    vocabs = [build_vocab(t, min_freq=1) for t in texts]
     results = [
         build_domain_dataset(
-            tokenize_corpus(path), domain=dom, sizes=shared_sizes, bpw=1, coding="flc", seed=1,
-            lm_order=1, alpha=0.5, min_freq=1, max_len=32, payload_bits=(4, 12),
+            t, domain=dom, sizes=shared_sizes, bpw=1, coding="flc", seed=1, vocab=vocab,
+            lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
         )
-        for path, dom in ((sea, "S"), (farm, "F"))
+        for t, vocab, dom in zip(texts, vocabs, ("S", "F"))
     ]
 
     def unigram(ds, vocab_size):
@@ -389,15 +393,16 @@ def test_two_domains_have_distinct_unigram_distributions(two_corpora):
                 counts[t] += 1
         return counts / counts.sum()
 
-    size = max(r.vocab.size for r in results)
+    size = max(v.size for v in vocabs)
     tv = 0.5 * np.abs(unigram(results[0].dataset, size) - unigram(results[1].dataset, size)).sum()
     assert tv > 0
 
 
 def test_build_domain_dataset_rejects_oversized_payload(two_corpora):
     sea, _ = two_corpora
+    texts = tokenize_corpus(sea)
     with pytest.raises(ValueError, match="max_len"):
         build_domain_dataset(
-            tokenize_corpus(sea), domain="S", sizes={"train": 2, "val": 1, "test": 1}, bpw=1, coding="flc",
-            seed=0, max_len=16, payload_bits=(4, 40), min_freq=1,
+            texts, domain="S", sizes={"train": 2, "val": 1, "test": 1}, bpw=1, coding="flc",
+            seed=0, vocab=build_vocab(texts, min_freq=1), max_len=16, payload_bits=(4, 40),
         )
