@@ -47,8 +47,8 @@ class TextSample:
             raise ValueError(f"sample {self.id!r}: label must be 0, 1, or None")
         if (self.bpw is not None) != (self.label == STEGO):
             raise ValueError(f"sample {self.id!r}: bpw must be present iff label is stego")
-        if self.bpw is not None and not 1 <= self.bpw <= 5:
-            raise ValueError(f"sample {self.id!r}: bpw must be in 1..5")
+        if self.bpw is not None and (not isinstance(self.bpw, int) or not 1 <= self.bpw <= 5):
+            raise ValueError(f"sample {self.id!r}: bpw must be an integer in 1..5")
 
 
 def tokenize(text: str) -> list[str]:
@@ -84,9 +84,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
-
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.token_to_id.get(t, UNK) for t in tokens)
 
@@ -101,7 +98,10 @@ class Vocab:
 
     @classmethod
     def from_json(cls, payload: str) -> "Vocab":
-        tokens = json.loads(payload)["tokens"]
+        raw = json.loads(payload)
+        tokens = raw.get("tokens") if isinstance(raw, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CorpusError('vocab file is not {"tokens": [<strings>]}')
         if tuple(tokens[:4]) != RESERVED_TOKENS:
             raise CorpusError("vocab file does not start with the reserved tokens")
         return cls(tuple(tokens), {t: i for i, t in enumerate(tokens)})
@@ -156,6 +156,8 @@ def load_corpus(path: str | Path, vocab: Vocab | None = None) -> list[TextSample
             if sid in seen:
                 raise IntegrityError(f"duplicate sample id {sid!r} at line {lineno}")
             seen.add(sid)
+            if not isinstance(rec.get("tokens", []), list) or not isinstance(rec.get("text", ""), str):
+                raise CorpusError("'tokens' must be a list and 'text' a string", line=lineno)
             if "tokens" in rec:
                 tokens = tuple(rec["tokens"])
                 if tokens and isinstance(tokens[0], str) and vocab is not None:
@@ -165,7 +167,7 @@ def load_corpus(path: str | Path, vocab: Vocab | None = None) -> list[TextSample
                 tokens = vocab.encode(toks) if vocab is not None else tuple(toks)
             label = rec.get("label")
             if label is not None:
-                if label not in _NAME_LABELS:
+                if not isinstance(label, str) or label not in _NAME_LABELS:
                     raise CorpusError(f"unknown label {label!r}", line=lineno)
                 label = _NAME_LABELS[label]
             try:

@@ -450,8 +450,9 @@ def adam_step(
     correction2 = 1.0 - beta2**state.step
     for name, grad in grads.items():
         tensor = params[name]
-        m = state.m.setdefault(name, np.zeros_like(tensor))
-        v = state.v.setdefault(name, np.zeros_like(tensor))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(tensor), np.zeros_like(tensor)
+        m, v = state.m[name], state.v[name]
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2

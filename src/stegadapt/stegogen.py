@@ -10,7 +10,9 @@ so embedding needs no randomness while bits remain and round-trips are exact.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,12 +29,11 @@ CODINGS = ("flc", "vlc")
 
 @dataclass
 class _CtxStats:
-    """Frozen per-context arrays derived from raw counts."""
+    """Frozen per-context tables derived from raw counts, in the form the queries read them."""
 
-    ids: np.ndarray        # observed token ids, ascending
-    counts: np.ndarray     # aligned with ids
-    cum: np.ndarray        # cumulative counts, for sampling
-    ranked: tuple[int, ...]  # ids by count desc, then id asc
+    ids: tuple[int, ...]     # observed token ids, ascending
+    cum: list[float]         # cumulative counts aligned with ids, for sampling
+    ranked: tuple[int, ...]  # observed ids except EOS, by count desc, then id asc
     total: int
 
 
@@ -57,7 +58,7 @@ class MarkovLM:
         self._ctx: dict[tuple[int, ...], _CtxStats] = {}
         support = [i for i in range(vocab.size) if i not in (PAD, BOS)]
         self.support = np.array(support, dtype=np.int64)
-        self._support_no_eos = np.array([i for i in support if i != EOS], dtype=np.int64)
+        self._support_no_eos = tuple(i for i in support if i != EOS)
 
     # -- fitting ---------------------------------------------------------
 
@@ -73,14 +74,12 @@ class MarkovLM:
         self._ctx.clear()
 
     def freeze(self) -> None:
-        """Precompute per-context arrays; called lazily by the query methods."""
+        """Precompute per-context tables; called lazily by the query methods."""
         for ctx, bucket in self.counts.items():
-            ids = np.array(sorted(bucket), dtype=np.int64)
-            counts = np.array([bucket[i] for i in ids], dtype=np.float64)
-            ranked = tuple(sorted(bucket, key=lambda t: (-bucket[t], t)))
-            self._ctx[ctx] = _CtxStats(
-                ids=ids, counts=counts, cum=np.cumsum(counts), ranked=ranked, total=int(counts.sum())
-            )
+            ids = tuple(sorted(bucket))
+            ranked = tuple(t for t in sorted(bucket, key=lambda t: (-bucket[t], t)) if t != EOS)
+            cum = list(itertools.accumulate(float(bucket[i]) for i in ids))
+            self._ctx[ctx] = _CtxStats(ids=ids, cum=cum, ranked=ranked, total=sum(bucket.values()))
 
     def _stats(self, context: tuple[int, ...]) -> _CtxStats | None:
         if not self._ctx and self.counts:
@@ -88,33 +87,28 @@ class MarkovLM:
         return self._ctx.get(context)
 
     def _context_key(self, history: Sequence[int]) -> tuple[int, ...]:
-        tail = tuple(int(t) for t in history[-self.order :])
+        tail = tuple(map(int, history[-self.order :]))
         return (BOS,) * (self.order - len(tail)) + tail
 
     # -- queries ---------------------------------------------------------
 
-    def ranked_candidates(self, history: Sequence[int], n: int, exclude_eos: bool = True) -> list[int]:
-        """Top-n next tokens by probability desc, ties by id asc.
+    def ranked_candidates(self, history: Sequence[int], n: int) -> list[int]:
+        """Top-n next tokens other than EOS by probability desc, ties by id asc.
 
         With smoothing every supported token is a candidate; with alpha == 0
         only observed continuations qualify.
         """
         key = self._context_key(history)
         stats = self._stats(key)
-        ranked: list[int] = []
-        observed: dict[int, int] = {}
-        if stats is not None:
-            observed = self.counts[key]
-            ranked = [t for t in stats.ranked if not (exclude_eos and t == EOS)]
+        ranked = list(stats.ranked[:n]) if stats is not None else []
         if self.alpha > 0 and len(ranked) < n:
-            pool = self._support_no_eos if exclude_eos else self.support
-            for tok in pool:
-                tok = int(tok)
+            observed = self.counts.get(key, {})
+            for tok in self._support_no_eos:
                 if tok not in observed:
                     ranked.append(tok)
                     if len(ranked) >= n:
                         break
-        return ranked[:n]
+        return ranked
 
     def step_probs(self, history: Sequence[int], ids: Sequence[int]) -> np.ndarray:
         """Smoothed probabilities of specific ids in this context."""
@@ -133,8 +127,7 @@ class MarkovLM:
             raise ValueError("context has no continuations and alpha is 0")
         u = rng.random() * weight
         if u < total:
-            idx = int(np.searchsorted(stats.cum, u, side="right"))
-            return int(stats.ids[min(idx, len(stats.ids) - 1)])
+            return stats.ids[bisect.bisect_right(stats.cum, u)]  # u < total = cum[-1], exactly
         j = int((u - total) // self.alpha)
         return int(self.support[min(j, len(self.support) - 1)])
 
@@ -249,7 +242,7 @@ def _step_code(
     bits; VLC codes each by Huffman over its renormalized LM probability.
     ``degraded`` marks steps with fewer than ``2^bpw`` candidates.
     """
-    cands = lm.ranked_candidates(history, 1 << bpw, exclude_eos=True)
+    cands = lm.ranked_candidates(history, 1 << bpw)
     if not cands:
         raise ValueError("no embedding candidates in this context")
     k = min(bpw, len(cands).bit_length() - 1)

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: optimal prefix-code
 length is computed from the complete list of full-binary-tree depth profiles,
 gradients are checked by central finite differences on the public loss, and
 model equality, encoder checksums, the per-sample loss and the full
-next-token distribution are computed from public tensors and ``step_probs``.
+next-token distribution are computed from public tensors and ``step_probs``,
+and the LM's sampling and candidate ranking are recomputed from its raw
+``counts`` by an inverse CDF and a full sort.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 
 import numpy as np
 
+from stegadapt.corpus import BOS, EOS, PAD
 from stegadapt.head import LOG_EPS
 
 # Depth multisets of all full binary trees with n <= 4 leaves. An optimal
@@ -120,3 +123,35 @@ def loss_ce(pred, label: int) -> float:
 def next_distribution(lm, history) -> tuple[np.ndarray, np.ndarray]:
     """The LM's full smoothed next-token distribution (ids, probs) after ``history``."""
     return lm.support.copy(), lm.step_probs(history, lm.support)
+
+
+def _raw_context(lm, history) -> dict[int, int]:
+    """The raw next-token counts after ``history``, its last ``order`` ids padded with BOS."""
+    context = ((BOS,) * lm.order + tuple(int(t) for t in history))[-lm.order :]
+    return lm.counts.get(context, {})
+
+
+def inverse_cdf_next(lm, history, u: float) -> int:
+    """The token ``sample_next`` must draw for the uniform variate ``u`` in [0, 1).
+
+    Observed continuations take the first ``total`` units of mass in id order,
+    then each supported id takes ``alpha`` units.
+    """
+    counts = _raw_context(lm, history)
+    ids = sorted(counts)
+    total = sum(counts.values())
+    support = [t for t in range(lm.vocab.size) if t not in (PAD, BOS)]
+    x = u * (total + lm.alpha * len(support))
+    if x < total:
+        idx = int(np.searchsorted(np.cumsum([counts[i] for i in ids]), x, side="right"))
+        return ids[min(idx, len(ids) - 1)]
+    return support[min(int((x - total) // lm.alpha), len(support) - 1)]
+
+
+def sorted_candidates(lm, history, n: int) -> list[int]:
+    """Top-n non-EOS tokens by a full sort of the raw counts, then unseen ids ascending when smoothed."""
+    counts = _raw_context(lm, history)
+    ranked = sorted((t for t in counts if t != EOS), key=lambda t: (-counts[t], t))
+    if lm.alpha > 0:
+        ranked += [t for t in range(lm.vocab.size) if t not in counts and t not in (PAD, BOS, EOS)]
+    return ranked[:n]

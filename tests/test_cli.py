@@ -203,6 +203,21 @@ def test_dataset_dirs_text_records_use_the_shared_vocab(tmp_path, tiny_config_di
     assert logs["text"] == logs["tokens"]
 
 
+@pytest.mark.parametrize("payload", ["{}", "[]", '{"tokens": 5}'], ids=["empty-object", "list", "tokens-not-a-list"])
+def test_malformed_vocab_json_reports_error(tmp_path, capsys, payload):
+    directory = tmp_path / "H"
+    directory.mkdir()
+    (directory / "samples.jsonl").write_text('{"id": "H0", "tokens": [4, 5], "label": "cover", "domain": "H"}\n')
+    (directory / "splits.jsonl").write_text('{"id": "H0", "split": "train", "role": "cover"}\n')
+    (directory / "vocab.json").write_text(payload)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"dataset_dirs": {"H": str(directory)}}}))
+    code = main(["gen-data", "-c", str(config), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "vocab file" in err and "Traceback" not in err
+
+
 _GOOD_SPLIT = '{"id": "H0", "split": "train", "role": "cover"}\n'
 
 

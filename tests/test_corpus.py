@@ -70,12 +70,12 @@ def test_build_vocab_frequency_order():
 def test_build_vocab_threshold_drops_rare_tokens():
     vocab = build_vocab([["a", "a", "b"]], min_freq=2)
     assert "b" not in vocab
-    assert vocab.encode_token("b") == UNK
+    assert vocab.encode(["b"])[0] == UNK
 
 
 def test_build_vocab_tie_break_lexicographic():
     vocab = build_vocab([["y", "x"]], min_freq=1)
-    assert vocab.encode_token("x") < vocab.encode_token("y")
+    assert vocab.encode(["x"])[0] < vocab.encode(["y"])[0]
 
 
 def test_build_vocab_rejects_bad_min_freq():
@@ -99,6 +99,12 @@ def test_vocab_json_roundtrip():
     vocab = build_vocab([["a", "b", "a"]], min_freq=1)
     again = Vocab.from_json(vocab.to_json())
     assert again.id_to_token == vocab.id_to_token
+
+
+@pytest.mark.parametrize("payload", ["{}", "[]", '{"tokens": 5}', '{"tokens": ["<pad>", "<unk>", "<bos>", "<eos>", [1]]}'])
+def test_vocab_from_json_rejects_other_shapes(payload):
+    with pytest.raises(CorpusError, match="vocab file"):
+        Vocab.from_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,23 @@ def test_load_corpus_malformed_json_names_line(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"id": "a", "text": 5, "domain": "M"},
+        {"id": "a", "tokens": 5, "domain": "M"},
+        {"id": "a", "tokens": [4], "label": "stego", "bpw": "2", "domain": "M"},
+        {"id": "a", "tokens": [4], "label": ["cover"], "domain": "M"},
+    ],
+    ids=["text-not-a-string", "tokens-not-a-list", "bpw-not-an-int", "label-not-a-string"],
+)
+def test_load_corpus_mistyped_field_names_line(tmp_path, record):
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [json.dumps({"id": "ok", "text": "x", "domain": "M"}), json.dumps(record)])
+    with pytest.raises(CorpusError, match="line 2"):
+        load_corpus(path)
+
+
 def test_load_corpus_unlabeled_and_vocab_encoding(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_lines(
@@ -177,7 +200,7 @@ def test_load_corpus_unlabeled_and_vocab_encoding(tmp_path):
     vocab = build_vocab([["a", "b"]], min_freq=1)
     first, second = load_corpus(path, vocab=vocab)
     assert first.label is UNLABELED
-    assert first.tokens == (vocab.encode_token("a"), vocab.encode_token("b"), UNK)
+    assert first.tokens == (vocab.encode(["a"])[0], vocab.encode(["b"])[0], UNK)
     assert second.tokens == (4, 5) and second.bpw == 2
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,16 @@ from stegadapt.stegogen import (
     sample_cover,
     tokenize_corpus,
 )
-from oracles import codebook_weighted_length, next_distribution, optimal_prefix_weighted_length
+from dataset_digest import dataset_digest
+from oracles import (
+    codebook_weighted_length,
+    inverse_cdf_next,
+    next_distribution,
+    optimal_prefix_weighted_length,
+    sorted_candidates,
+)
+
+HARBOR = Path(__file__).resolve().parents[1] / "data" / "corpora" / "harbor.txt"
 
 
 def _vocab(words):
@@ -63,7 +74,7 @@ def test_fit_lm_doubled_corpus_same_relative_frequencies():
     seq = vocab.encode(["a", "b", "a", "c"])
     one = fit_lm([seq], vocab, order=1, alpha=0.0)
     two = fit_lm([seq, seq], vocab, order=1, alpha=0.0)
-    a = vocab.encode_token("a")
+    a = vocab.encode(["a"])[0]
     for ctx_counts, doubled in zip(one.counts.items(), two.counts.items()):
         assert doubled[1] == {t: 2 * c for t, c in ctx_counts[1].items()}
     _, p_one = next_distribution(one, [a])
@@ -115,13 +126,107 @@ def test_sample_cover_matches_multinomial_oracle():
 
 
 # ---------------------------------------------------------------------------
+# The per-context tables against brute-force oracles over the raw counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def letter_texts():
+    rng = np.random.default_rng(123)
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    return [rng.choice(letters, size=int(rng.integers(4, 16))).tolist() for _ in range(300)]
+
+
+def _letter_lm(texts, order, alpha):
+    vocab = build_vocab(texts, min_freq=1)
+    return fit_lm([vocab.encode(t) for t in texts], vocab, order=order, alpha=alpha)
+
+
+@pytest.mark.parametrize("order, alpha", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)])
+def test_sample_next_matches_inverse_cdf_oracle(letter_texts, order, alpha):
+    lm = _letter_lm(letter_texts, order, alpha)
+    for seed in range(40):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        history: list[int] = []
+        while len(history) < 24:
+            tok = lm.sample_next(history, rng)
+            assert tok == inverse_cdf_next(lm, history, twin.random())
+            if tok == EOS:
+                break
+            history.append(tok)
+        assert rng.random() == twin.random()  # one variate per sampled token
+
+
+class _FixedUniforms:
+    """Stands in for a numpy Generator whose ``random()`` yields the given variates."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_sample_next_on_cdf_boundaries_matches_oracle():
+    # Total mass 4 keeps u * 4 exact, so u lands on the cumulative counts 1, 2 and 4.
+    vocab = _vocab("abc")
+    a, b, c = vocab.encode(["a", "b", "c"])
+    lm = _lm_from_counts(vocab, {(BOS,): {a: 1, b: 1, c: 2}})
+    for u in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 0.9375):
+        assert lm.sample_next([], _FixedUniforms([u])) == inverse_cdf_next(lm, [], u)
+
+
+@pytest.mark.parametrize("order, alpha", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)])
+def test_ranked_candidates_matches_sort_oracle(letter_texts, order, alpha):
+    lm = _letter_lm(letter_texts, order, alpha)
+    rng = np.random.default_rng(order * 10 + int(alpha > 0))
+    ids = [t for t in range(lm.vocab.size) if t not in (PAD, BOS, EOS)]
+    for _ in range(300):
+        history = rng.choice(ids, size=int(rng.integers(0, 4))).tolist()  # unseen contexts included
+        for n in (1, 2, 4, 8, 32):
+            assert lm.ranked_candidates(history, n) == sorted_candidates(lm, history, n)
+
+
+# Taken from the generator before its per-context tables became Python lists;
+# a change here is a change of generated data.
+_PINNED_DIGESTS = [
+    ("flc", 1, 0.0, "13ae8fb26473b41577d989970b1ff314aca7def908c854aed3d4850f61388771"),
+    ("flc", 1, 0.5, "fe7a00aac2d23eb547533ac83c723936ed1c833d6130f2370aee75a73eadabc8"),
+    ("flc", 2, 0.0, "2a1d574c884926ce26f0fc4d86a7b7634b4b5d6cd696cf4d5a0c84fdf5428dcc"),
+    ("flc", 2, 0.5, "62c53d1a2b32b1623119f1963f21e0e2253c3b45000b9e95443e91716bc3d60a"),
+    ("vlc", 1, 0.0, "3c7037aa221a8c704fbaf7bf5435c76f44a1db631e3636115661c3dec695990a"),
+    ("vlc", 1, 0.5, "68f04887275a06787467bcf3869eaf6245c1af6e48a9debc74428bf2a8ee2db6"),
+    ("vlc", 2, 0.0, "b4d7a7d764b93372713933a857ad18d3fcdf1db6aaea25d967f434f9ec7bca4a"),
+    ("vlc", 2, 0.5, "659b554429a30619fb97e35eaee366f69688b72182b7604c2ecf3008ea45042a"),
+]
+
+
+@pytest.fixture(scope="module")
+def harbor_texts():
+    texts = tokenize_corpus(HARBOR)
+    return texts, build_vocab(texts, min_freq=2)
+
+
+@pytest.mark.parametrize(
+    "coding, order, alpha, digest", _PINNED_DIGESTS, ids=[f"{c}-order{o}-alpha{a}" for c, o, a, _ in _PINNED_DIGESTS]
+)
+def test_build_domain_dataset_matches_pinned_digest(harbor_texts, coding, order, alpha, digest):
+    texts, vocab = harbor_texts
+    result = build_domain_dataset(
+        texts, domain="H", sizes={"train": 40, "val": 10, "test": 10}, bpw=3, coding=coding, seed=7,
+        vocab=vocab, lm_order=order, alpha=alpha, max_len=32, payload_bits=(4, 24),
+    )
+    assert dataset_digest(result.dataset) == digest
+
+
+# ---------------------------------------------------------------------------
 # Candidate pools and FLC
 # ---------------------------------------------------------------------------
 
 
 def _ranked_lm(vocab, counts_desc):
     """Order-1 LM where every context ranks tokens by the given descending counts."""
-    t = {w: vocab.encode_token(w) for w in counts_desc}
+    t = {w: vocab.encode([w])[0] for w in counts_desc}
     pool = {t[w]: c for w, c in counts_desc.items()}
     ctx = {(BOS,): dict(pool)}
     for w in counts_desc:
@@ -253,12 +358,8 @@ def test_vlc_bits_per_token_within_entropy_bounds():
 
 
 @pytest.fixture(scope="module")
-def roundtrip_lm():
-    rng = np.random.default_rng(123)
-    letters = list("abcdefghijklmnopqrstuvwxyz")
-    texts = [rng.choice(letters, size=int(rng.integers(4, 16))).tolist() for _ in range(300)]
-    vocab = build_vocab(texts, min_freq=1)
-    return fit_lm([vocab.encode(t) for t in texts], vocab, order=2, alpha=0.5)
+def roundtrip_lm(letter_texts):
+    return _letter_lm(letter_texts, order=2, alpha=0.5)
 
 
 @pytest.mark.parametrize("coding", ["flc", "vlc"])
