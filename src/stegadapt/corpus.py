@@ -90,9 +90,6 @@ class Vocab:
     def decode(self, ids: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.id_to_token[i] for i in ids)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def to_json(self) -> str:
         return json.dumps({"tokens": list(self.id_to_token)}, sort_keys=True)
 
@@ -131,9 +128,10 @@ def load_corpus(path: str | Path, vocab: Vocab | None = None) -> list[TextSample
     """Read one JSONL sample record per line.
 
     Records need ``id``, ``domain``, and either ``text`` (raw string, run
-    through :func:`tokenize`) or ``tokens`` (list of ids or surface strings).
-    ``label`` may be "cover", "stego", or null/absent; stego records must
-    carry ``bpw``. With a ``vocab``, surface tokens are encoded to ids.
+    through :func:`tokenize`) or ``tokens`` (all integer ids or all surface
+    strings). ``label`` may be "cover", "stego", or null/absent; stego
+    records must carry ``bpw``. With a ``vocab``, surface tokens are encoded
+    to ids.
     """
     samples: list[TextSample] = []
     seen: set[str] = set()
@@ -160,8 +158,11 @@ def load_corpus(path: str | Path, vocab: Vocab | None = None) -> list[TextSample
                 raise CorpusError("'tokens' must be a list and 'text' a string", line=lineno)
             if "tokens" in rec:
                 tokens = tuple(rec["tokens"])
-                if tokens and isinstance(tokens[0], str) and vocab is not None:
-                    tokens = vocab.encode(tokens)
+                types = set(map(type, tokens))  # exact types: a bool is not an id
+                if types == {str}:
+                    tokens = vocab.encode(tokens) if vocab is not None else tokens
+                elif not types <= {int}:
+                    raise CorpusError("'tokens' must be all integer ids or all strings", line=lineno)
             else:
                 toks = tokenize(rec["text"])
                 tokens = vocab.encode(toks) if vocab is not None else tuple(toks)

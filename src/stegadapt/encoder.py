@@ -157,9 +157,6 @@ class PrecomputedEncoder:
     def trainable_tensors(self, stage: str) -> dict[str, np.ndarray]:
         return {}
 
-    def gradient_tensors(self, ids, d_features, lengths) -> dict[str, np.ndarray]:
-        return {}
-
     def clone(self) -> "PrecomputedEncoder":
         return PrecomputedEncoder(self.config, self.store)
 

@@ -11,11 +11,14 @@ a packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows
 sorted by length, descending, and only the valid timestep-rows kept,
 time-major, so each step works on one contiguous slice of the sequences
 still running. The reversed direction gathers each sequence's tokens back to
-front into the same slices. The input projection, the weight gradients, the
-input gradient and the gate are each one product over the packed rows, and
-pooling sums each step's slice in time order. Padded positions are never
-read: only the padded input features and their gradient, which is exactly
-zero there whatever the padding holds, keep the (B, T, d_h) layout.
+front into the same slices. Both directions of a layer run as one array
+stacked on a leading axis of 2 (0 forward, 1 reversed), and the layer's
+weights are stored stacked the same way, so every kernel reads them as they
+are. The input projection, the weight gradients, the input gradient and the
+gate are each one product over the packed rows, and pooling sums each
+step's slice in time order. Padded positions are never read: only the
+padded input features and their gradient, which is exactly zero there
+whatever the padding holds, keep the (B, T, d_h) layout.
 """
 
 from __future__ import annotations
@@ -51,8 +54,11 @@ class HeadConfig:
 class HeadParams:
     """All trainable head tensors, keyed by name.
 
-    LSTM matrices stack the input, forget, output, and cell-candidate blocks
-    along the first axis, in that order (the three sigmoid gates first, so
+    Layer ``l`` of the Bi-LSTM is ``lstm{l}.wx`` (2, 4h, d_in), ``lstm{l}.wh``
+    (2, 4h, h) and ``lstm{l}.b`` (2, 4h): direction 0 reads the sequence as
+    is and direction 1 reversed, the stacked layout every kernel runs on.
+    Each direction's rows stack the input, forget, output, and
+    cell-candidate blocks, in that order (the three sigmoid gates first, so
     one activation call covers them); forget biases start at 1.
     """
 
@@ -62,32 +68,29 @@ class HeadParams:
     def clone(self) -> "HeadParams":
         return HeadParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def lstm_keys(self, layer: int, direction: str) -> tuple[str, str, str]:
-        stem = f"lstm{layer}.{direction}"
-        return f"{stem}.wx", f"{stem}.wh", f"{stem}.b"
 
+def init_params(config: HeadConfig, seed) -> HeadParams:
+    """Glorot-uniform matrices, zero biases except forget-gate biases at 1.
 
-def init_params(d_h: int, hidden: int, seed, layers: int = 1, config: HeadConfig | None = None) -> HeadParams:
-    """Glorot-uniform matrices, zero biases except forget-gate biases at 1."""
-    if config is None:
-        config = HeadConfig(d_h=d_h, hidden=hidden, layers=layers)
+    Per layer the draws run forward ``wx``, forward ``wh``, then the same
+    for the reversed direction.
+    """
     rng = np.random.default_rng(seed)
-    h = hidden
+    h = config.hidden
     tensors: dict[str, np.ndarray] = {}
 
     def glorot(rows, cols, fan_in, fan_out):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(rows, cols))
 
-    for layer in range(layers):
-        d_in = d_h if layer == 0 else 2 * h
-        for direction in ("fwd", "bwd"):
-            stem = f"lstm{layer}.{direction}"
-            tensors[f"{stem}.wx"] = glorot(4 * h, d_in, d_in, h)
-            tensors[f"{stem}.wh"] = glorot(4 * h, h, h, h)
-            bias = np.zeros(4 * h)
-            bias[h : 2 * h] = 1.0
-            tensors[f"{stem}.b"] = bias
+    for layer in range(config.layers):
+        d_in = config.d_h if layer == 0 else 2 * h
+        wx, wh = zip(*[(glorot(4 * h, d_in, d_in, h), glorot(4 * h, h, h, h)) for _ in range(2)])
+        tensors[f"lstm{layer}.wx"] = np.stack(wx)
+        tensors[f"lstm{layer}.wh"] = np.stack(wh)
+        bias = np.zeros((2, 4 * h))
+        bias[:, h : 2 * h] = 1.0
+        tensors[f"lstm{layer}.b"] = bias
     tensors["gate.w"] = glorot(2 * h, 2 * h, 2 * h, 2 * h)
     tensors["gate.b"] = np.zeros(2 * h)
     tensors["cls.w"] = glorot(2, 2 * h, 2 * h, 2)
@@ -193,17 +196,6 @@ def _run_directions(
     return _PairCache(x_pair, sig, cand, cell, tanh_cell, hidden)
 
 
-def _stacked_lstm(params: "HeadParams", layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tensors = params.tensors
-    kf = params.lstm_keys(layer, "fwd")
-    kb = params.lstm_keys(layer, "bwd")
-    return (
-        np.stack([tensors[kf[0]], tensors[kb[0]]]),
-        np.stack([tensors[kf[1]], tensors[kb[1]]]),
-        np.stack([tensors[kf[2]], tensors[kb[2]]]),
-    )
-
-
 @dataclass
 class BatchTrace:
     """Activations for one forward pass, per token over the N packed rows.
@@ -259,7 +251,7 @@ def forward_batch(
     states = features[packing.rows, packing.steps].astype(np.float64, copy=False)
     pair_caches = []
     for layer in range(cfg.layers):
-        wx, wh, b = _stacked_lstm(params, layer)
+        wx, wh, b = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh", "b"))
         cache = _run_directions(np.stack([states, states[packing.reverse]]), wx, wh, b, packing.offsets)
         pair_caches.append(cache)
         states = np.concatenate([cache.hidden[0], cache.hidden[1][packing.reverse]], axis=1)
@@ -410,13 +402,9 @@ def backward_batch(
     h = cfg.hidden
     for layer in range(cfg.layers - 1, -1, -1):
         dh_pair = np.stack([d_upper[:, :h], d_upper[packing.reverse, h:]])
-        wx, wh, _ = _stacked_lstm(params, layer)
+        wx, wh = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh"))
         dwx, dwh, db, dx = _bptt_directions(trace.pair_caches[layer], dh_pair, wx, wh, packing)
-        for d, direction in enumerate(("fwd", "bwd")):
-            keys = params.lstm_keys(layer, direction)
-            grads[keys[0]][:] = dwx[d]
-            grads[keys[1]][:] = dwh[d]
-            grads[keys[2]][:] = db[d]
+        grads.update({f"lstm{layer}.wx": dwx, f"lstm{layer}.wh": dwh, f"lstm{layer}.b": db})
         d_upper = dx[0] + dx[1][packing.reverse]
     d_features = np.zeros((batch, trace.width, cfg.d_h))
     d_features[packing.rows, packing.steps] = d_upper

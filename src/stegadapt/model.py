@@ -25,7 +25,7 @@ from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, make_enc
 from .errors import CheckpointError
 from .head import HeadConfig, HeadParams, forward_batch, init_params
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def config_hash(payload: dict) -> str:
@@ -51,13 +51,7 @@ class Classifier:
         if head_config.d_h != encoder_config.d_h:
             raise ValueError("encoder and head disagree on d_h")
         encoder = make_encoder(replace(encoder_config, seed=seed), vocab_size=vocab_size, store=store)
-        head = init_params(
-            head_config.d_h,
-            head_config.hidden,
-            seed=np.random.SeedSequence([seed, 0x4EAD]),
-            layers=head_config.layers,
-            config=head_config,
-        )
+        head = init_params(head_config, seed=np.random.SeedSequence([seed, 0x4EAD]))
         return cls(encoder=encoder, head=head)
 
     def clone(self) -> "Classifier":
@@ -171,12 +165,8 @@ def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classi
         if meta["version"] != CHECKPOINT_VERSION:
             raise CheckpointError(path, f"unsupported checkpoint version {meta['version']!r}")
         head_config = HeadConfig(**meta["head_config"])
-        # Older checkpoints also store a ``freeze_policy``; the encoder kind
-        # now sets it, and a loaded model is frozen under either policy.
-        enc_fields = dict(meta["encoder_config"])
-        enc_fields.pop("freeze_policy", None)
-        enc_config = EncoderConfig(**enc_fields)
-        reference = init_params(head_config.d_h, head_config.hidden, 0, head_config.layers, head_config).tensors
+        enc_config = EncoderConfig(**meta["encoder_config"])
+        reference = init_params(head_config, 0).tensors
         head_tensors = {name: arrays[f"head.{name}"] for name in reference}
         misshapen = [name for name, tensor in reference.items() if head_tensors[name].shape != tensor.shape]
         if misshapen:

@@ -70,7 +70,7 @@ def test_criterion_02_gradient_oracle():
     worst = 0.0
     for instance in range(20):
         rng = np.random.default_rng(1000 + instance)
-        params = init_params(8, 4, seed=2000 + instance)
+        params = init_params(HeadConfig(d_h=8, hidden=4), seed=2000 + instance)
         features = rng.normal(size=(5, 8))
         label = int(rng.integers(0, 2))
         padded = features[None]
@@ -218,7 +218,7 @@ def test_criterion_07_desk_scale_adaptation_benchmark():
 
 def test_criterion_08_ablation_identities(tmp_path):
     # Gate bypass equals a gate forced to all-ones, bit for bit.
-    base = init_params(12, 5, seed=3)
+    base = init_params(HeadConfig(d_h=12, hidden=5), seed=3)
     bypass = HeadParams(HeadConfig(d_h=12, hidden=5, gate_bypass=True), base.tensors)
     forced = base.clone()
     forced.tensors["gate.w"][:] = 0.0

@@ -152,25 +152,35 @@ def test_unknown_domain_tag_reports_error(workspace, capsys, argv):
     assert not (out / "runs").exists()
 
 
-@pytest.mark.parametrize("kind", ["truncated", "text"])
+@pytest.mark.parametrize("kind", ["truncated", "text", "version-1"])
 def test_unreadable_checkpoint_reports_error(workspace, capsys, kind):
+    import numpy as np
+
     from stegadapt.encoder import EncoderConfig
     from stegadapt.head import HeadConfig
     from stegadapt.model import Classifier, save_checkpoint
 
     tmp, config = workspace
     ckpt = tmp / "bad.npz"
+    model = Classifier.build(EncoderConfig(d_h=12), HeadConfig(d_h=12, hidden=6), seed=0, vocab_size=20)
+    save_checkpoint(ckpt, model)
     if kind == "truncated":
-        model = Classifier.build(EncoderConfig(d_h=12), HeadConfig(d_h=12, hidden=6), seed=0, vocab_size=20)
-        save_checkpoint(ckpt, model)
         data = ckpt.read_bytes()
         ckpt.write_bytes(data[: len(data) // 2])
-    else:
+    elif kind == "text":
         ckpt.write_text("not a checkpoint\n")
+    else:
+        # Version 1 stored each Bi-LSTM direction's tensors apart.
+        with np.load(ckpt) as archive:
+            arrays = dict(archive)
+        meta = {**json.loads(bytes(arrays["meta"]).decode()), "version": 1}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
     code = _run(config, tmp / "out", "evaluate", "--source", "S", "--target", "F", "--seed", "0", "--checkpoint", str(ckpt))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and str(ckpt) in err and "Traceback" not in err
+    assert kind != "version-1" or "unsupported checkpoint version 1" in err
 
 
 def test_dataset_dirs_text_records_use_the_shared_vocab(tmp_path, tiny_config_dict):
@@ -219,6 +229,22 @@ def test_malformed_vocab_json_reports_error(tmp_path, capsys, payload):
 
 
 _GOOD_SPLIT = '{"id": "H0", "split": "train", "role": "cover"}\n'
+
+
+def test_non_id_tokens_in_dataset_dirs_report_error(tmp_path, capsys):
+    """A ``tokens`` list holding a float stops ``pretrain`` with the record's line, before any encoding."""
+    for tag, tokens in (("H", [4, 5.5]), ("O", [4, 5])):
+        directory = tmp_path / tag
+        directory.mkdir()
+        sample = {"id": f"{tag}0", "tokens": tokens, "label": "cover", "domain": tag}
+        (directory / "samples.jsonl").write_text(json.dumps(sample) + "\n")
+        (directory / "splits.jsonl").write_text(json.dumps({"id": f"{tag}0", "split": "train", "role": "cover"}) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"dataset_dirs": {tag: str(tmp_path / tag) for tag in ("H", "O")}}}))
+    code = _run(config, tmp_path / "out", "pretrain", "--source", "H", "--target", "O", "--seed", "0")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "line 1:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

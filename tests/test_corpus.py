@@ -69,7 +69,7 @@ def test_build_vocab_frequency_order():
 
 def test_build_vocab_threshold_drops_rare_tokens():
     vocab = build_vocab([["a", "a", "b"]], min_freq=2)
-    assert "b" not in vocab
+    assert "b" not in vocab.token_to_id
     assert vocab.encode(["b"])[0] == UNK
 
 
@@ -178,14 +178,26 @@ def test_load_corpus_malformed_json_names_line(tmp_path):
         {"id": "a", "tokens": 5, "domain": "M"},
         {"id": "a", "tokens": [4], "label": "stego", "bpw": "2", "domain": "M"},
         {"id": "a", "tokens": [4], "label": ["cover"], "domain": "M"},
+        {"id": "a", "tokens": [4, 5.5], "domain": "M"},
+        {"id": "a", "tokens": [True, 5], "domain": "M"},
+        {"id": "a", "tokens": ["x", 3], "domain": "M"},
     ],
-    ids=["text-not-a-string", "tokens-not-a-list", "bpw-not-an-int", "label-not-a-string"],
+    ids=[
+        "text-not-a-string",
+        "tokens-not-a-list",
+        "bpw-not-an-int",
+        "label-not-a-string",
+        "tokens-float",
+        "tokens-bool",
+        "tokens-mixed",
+    ],
 )
 def test_load_corpus_mistyped_field_names_line(tmp_path, record):
     path = tmp_path / "c.jsonl"
     _write_lines(path, [json.dumps({"id": "ok", "text": "x", "domain": "M"}), json.dumps(record)])
-    with pytest.raises(CorpusError, match="line 2"):
-        load_corpus(path)
+    for vocab in (None, build_vocab([["x"]], min_freq=1)):
+        with pytest.raises(CorpusError, match="line 2"):
+            load_corpus(path, vocab=vocab)
 
 
 def test_load_corpus_unlabeled_and_vocab_encoding(tmp_path):

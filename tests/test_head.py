@@ -33,7 +33,7 @@ def _single(f, params, mode="eval", dropout_rng=None):
 
 def _random_instance(seed, d_h=8, hidden=4, n=3, max_len=5, layers=1):
     rng = np.random.default_rng(seed)
-    params = init_params(d_h, hidden, seed=seed + 1, layers=layers)
+    params = init_params(HeadConfig(d_h=d_h, hidden=hidden, layers=layers), seed=seed + 1)
     feats = [rng.normal(size=(int(rng.integers(1, max_len + 1)), d_h)) for _ in range(n)]
     labels = rng.integers(0, 2, n).tolist()
     return params, feats, labels
@@ -46,7 +46,7 @@ MIXED_LENGTHS = (3, 1, 5, 3, 2)
 
 def _mixed_instance(seed, d_h=8, hidden=4, layers=1):
     rng = np.random.default_rng(seed)
-    params = init_params(d_h, hidden, seed=seed + 1, layers=layers)
+    params = init_params(HeadConfig(d_h=d_h, hidden=hidden, layers=layers), seed=seed + 1)
     feats = [rng.normal(size=(n, d_h)) for n in MIXED_LENGTHS]
     labels = [0, 1, 1, 0, 1]
     return params, feats, labels
@@ -58,27 +58,44 @@ def _mixed_instance(seed, d_h=8, hidden=4, layers=1):
 
 
 def test_init_deterministic_by_seed():
-    a = init_params(8, 4, seed=3)
-    b = init_params(8, 4, seed=3)
+    a = init_params(HeadConfig(d_h=8, hidden=4), seed=3)
+    b = init_params(HeadConfig(d_h=8, hidden=4), seed=3)
     assert a.tensors.keys() == b.tensors.keys()
     for k in a.tensors:
         np.testing.assert_array_equal(a.tensors[k], b.tensors[k])
 
 
 def test_init_forget_bias_is_one():
-    params = init_params(8, 4, seed=0)
-    bias = params.tensors["lstm0.fwd.b"]
-    np.testing.assert_array_equal(bias[4:8], 1.0)
-    np.testing.assert_array_equal(bias[:4], 0.0)
-    np.testing.assert_array_equal(bias[8:], 0.0)
+    params = init_params(HeadConfig(d_h=8, hidden=4, layers=2), seed=0)
+    for layer in range(2):
+        bias = params.tensors[f"lstm{layer}.b"]
+        assert bias.shape == (2, 16)
+        np.testing.assert_array_equal(bias[:, 4:8], 1.0)
+        np.testing.assert_array_equal(bias[:, :4], 0.0)
+        np.testing.assert_array_equal(bias[:, 8:], 0.0)
 
 
 def test_init_input_matrix_bound():
     d_h, h = 8, 4
-    params = init_params(d_h, h, seed=0)
+    params = init_params(HeadConfig(d_h=d_h, hidden=h), seed=0)
     bound = np.sqrt(6.0 / (d_h + h))
-    wx = params.tensors["lstm0.fwd.wx"]
+    wx = params.tensors["lstm0.wx"]
+    assert wx.shape == (2, 4 * h, d_h)
     assert np.all(np.abs(wx) <= bound)
+
+
+def test_init_draws_forward_then_reversed_weights_per_layer():
+    """Each layer draws forward wx, forward wh, reversed wx, reversed wh, then the next layer."""
+    d_h, h = 6, 3
+    params = init_params(HeadConfig(d_h=d_h, hidden=h, layers=2), seed=9)
+    rng = np.random.default_rng(9)
+    for layer in range(2):
+        d_in = d_h if layer == 0 else 2 * h
+        for direction in range(2):
+            for name, cols in (("wx", d_in), ("wh", h)):
+                bound = np.sqrt(6.0 / (cols + h))
+                expected = rng.uniform(-bound, bound, size=(4 * h, cols))
+                np.testing.assert_array_equal(params.tensors[f"lstm{layer}.{name}"][direction], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +104,7 @@ def test_init_input_matrix_bound():
 
 
 def test_zero_gate_weights_halve_states():
-    params = init_params(6, 3, seed=1)
+    params = init_params(HeadConfig(d_h=6, hidden=3), seed=1)
     params.tensors["gate.w"][:] = 0.0
     params.tensors["gate.b"][:] = 0.0
     feats = np.random.default_rng(0).normal(size=(4, 6))
@@ -97,7 +114,7 @@ def test_zero_gate_weights_halve_states():
 
 
 def test_zero_classifier_gives_uniform_prediction():
-    params = init_params(6, 3, seed=1)
+    params = init_params(HeadConfig(d_h=6, hidden=3), seed=1)
     params.tensors["cls.w"][:] = 0.0
     params.tensors["cls.b"][:] = 0.0
     trace = _single(np.ones((2, 6)), params)
@@ -105,7 +122,7 @@ def test_zero_classifier_gives_uniform_prediction():
 
 
 def test_zero_dynamics_give_zero_states():
-    params = init_params(6, 3, seed=1)
+    params = init_params(HeadConfig(d_h=6, hidden=3), seed=1)
     for key, tensor in params.tensors.items():
         if key.startswith("lstm"):
             tensor[:] = 0.0
@@ -124,13 +141,13 @@ def test_forward_trace_invariants():
 
 
 def test_forward_rejects_wrong_width():
-    params = init_params(6, 3, seed=1)
+    params = init_params(HeadConfig(d_h=6, hidden=3), seed=1)
     with pytest.raises(ValueError):
         _single(np.ones((2, 5)), params)
 
 
 def test_forward_raises_numeric_error_on_nonfinite():
-    params = init_params(4, 2, seed=1)
+    params = init_params(HeadConfig(d_h=4, hidden=2), seed=1)
     with pytest.raises(NumericError):
         _single(np.full((2, 4), np.nan), params)
 
@@ -148,7 +165,7 @@ def test_batch_matches_per_sample_forward():
 
 
 def test_gate_bypass_equals_forced_ones_bit_exact():
-    base = init_params(6, 3, seed=2)
+    base = init_params(HeadConfig(d_h=6, hidden=3), seed=2)
     bypass = HeadParams(HeadConfig(d_h=6, hidden=3, gate_bypass=True), {k: v.copy() for k, v in base.tensors.items()})
     forced = base.clone()
     forced.tensors["gate.w"][:] = 0.0

@@ -93,25 +93,6 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert "adam_step" not in meta
 
 
-@pytest.mark.parametrize("policy", ["after_pretrain", "always"])
-def test_checkpoint_with_stored_freeze_policy_loads_bit_identical(tmp_path, policy):
-    """Checkpoints from before the encoder kind set the freeze rule carry ``freeze_policy``."""
-    model = _model(seed=5)
-    samples = _samples(9, seed=2)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model)
-    with np.load(path) as archive:
-        arrays = dict(archive)
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["encoder_config"]["freeze_policy"] = policy
-    arrays["meta"] = _meta_bytes(meta)
-    np.savez(path, **arrays)
-    restored, stored = load_checkpoint(path)
-    assert stored["encoder_config"]["freeze_policy"] == policy
-    assert restored.predict(samples).tobytes() == model.predict(samples).tobytes()
-    assert models_equal(model, restored)
-
-
 def _meta_bytes(meta):
     return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
 
@@ -125,6 +106,7 @@ def _meta_bytes(meta):
         (lambda arrays: arrays.update(meta=_meta_bytes([1])), "bad metadata"),
         (lambda arrays: arrays.update(meta=_meta_bytes({"version": 99})), "unsupported checkpoint version 99"),
         (lambda arrays: arrays.update({"head.gate.w": np.zeros((3, 3))}), r"head tensors \['gate.w'\]"),
+        (lambda arrays: arrays.update(meta=_meta_bytes({"version": 1})), "unsupported checkpoint version 1"),
     ],
 )
 def test_malformed_checkpoint_raises_checkpoint_error(tmp_path, damage, message):
