@@ -162,9 +162,10 @@ def _train_one_epoch(
         batch = [pairs[i] for i in order[start : start + cfg.batch_size]]
         samples = [s for s, _ in batch]
         labels = [y for _, y in batch]
-        trace, ids = model.forward_samples(samples, mode="train", dropout_rng=dropout_rng)
+        head = model.compute_head()
+        trace, ids = model.forward_samples(samples, head, mode="train", dropout_rng=dropout_rng)
         losses.append(batch_loss_ce(trace.probs, labels))
-        head_grads, d_features = backward_batch(trace, labels, model.head)
+        head_grads, d_features = backward_batch(trace, labels, head)
         grads = {f"head.{k}": g for k, g in head_grads.items()}
         if "encoder.embedding" in trainable:
             grads.update(model.encoder.gradient_tensors(ids, d_features, trace.lengths))

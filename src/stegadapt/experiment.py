@@ -447,6 +447,7 @@ def export_projection(model: Classifier, samples: Sequence[TextSample], path: st
     if len(samples) < 3:
         raise ValueError("projection needs at least 3 samples")
     _, pooled = model.predict(samples, return_pooled=True)
+    pooled = pooled.astype(np.float64)
     centered = pooled - pooled.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (centered.shape[0] - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)

@@ -1,10 +1,16 @@
 """Detector head: Bi-LSTM, sigmoid feature gate, mean pooling, linear classifier.
 
-Everything is plain numpy in double precision. The forward pass keeps the
-per-stage activations it needs so :func:`backward_batch` can produce exact
-analytic gradients for every parameter plus the gradient with respect to the
-input features (used to train the builtin encoder's embedding table while it
-is unfrozen).
+Everything is plain numpy. :func:`forward_batch` and :func:`backward_batch`
+compute in the dtype of the :class:`HeadParams` tensors: every activation,
+gradient and buffer has that dtype, whatever the dtype of the input
+features. The one exception is the (B, 2) softmax, which always runs in
+float64, so ``probs`` is float64 and the logit gradient is cast back. The
+finite-difference oracles run on float64 heads; the training and inference
+paths of :class:`~stegadapt.model.Classifier` pass a float32 copy. The
+forward pass keeps the per-stage activations it needs so
+:func:`backward_batch` can produce exact analytic gradients for every
+parameter plus the gradient with respect to the input features (used to
+train the builtin encoder's embedding table while it is unfrozen).
 
 Sequences inside a batch may have different lengths. The whole head runs on
 a packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows
@@ -67,6 +73,15 @@ class HeadParams:
 
     def clone(self) -> "HeadParams":
         return HeadParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+
+    def astype(self, dtype) -> "HeadParams":
+        """A copy with every tensor in ``dtype``, the dtype the head computes in."""
+        return HeadParams(self.config, {k: v.astype(dtype) for k, v in self.tensors.items()})
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype of :func:`forward_batch` and :func:`backward_batch`."""
+        return self.tensors["cls.b"].dtype
 
 
 def init_params(config: HeadConfig, seed) -> HeadParams:
@@ -172,11 +187,11 @@ def _run_directions(
     rows = x_pair.shape[1]
     h = wh.shape[2]
     zx = np.matmul(x_pair, wx.transpose(0, 2, 1)) + b[:, None, :]
-    sig = np.empty((2, rows, 3 * h))
-    cand = np.empty((2, rows, h))
-    cell = np.empty((2, rows, h))
-    tanh_cell = np.empty((2, rows, h))
-    hidden = np.empty((2, rows, h))
+    sig = np.empty((2, rows, 3 * h), dtype=zx.dtype)
+    cand = np.empty((2, rows, h), dtype=zx.dtype)
+    cell = np.empty((2, rows, h), dtype=zx.dtype)
+    tanh_cell = np.empty((2, rows, h), dtype=zx.dtype)
+    hidden = np.empty((2, rows, h), dtype=zx.dtype)
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
     bounds = offsets.tolist()
     for t in range(len(bounds) - 1):
@@ -223,12 +238,12 @@ class BatchTrace:
 def _mean_pool(gated: np.ndarray, packing: _Packing, lengths: np.ndarray) -> np.ndarray:
     # Step t adds to the first n_t sorted rows, so each row sums in time order.
     bounds = packing.offsets.tolist()
-    sums = np.zeros((lengths.size, gated.shape[1]))
+    sums = np.zeros((lengths.size, gated.shape[1]), dtype=gated.dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sums[: hi - lo] += gated[lo:hi]
     pooled = np.empty_like(sums)
     pooled[packing.rows[: lengths.size]] = sums
-    return pooled / lengths[:, None]
+    return pooled / lengths[:, None].astype(gated.dtype)
 
 
 def forward_batch(
@@ -248,7 +263,8 @@ def forward_batch(
         raise ValueError("lengths must be in 1..T")
 
     packing = _pack(lengths)
-    states = features[packing.rows, packing.steps].astype(np.float64, copy=False)
+    dtype = params.dtype
+    states = features[packing.rows, packing.steps].astype(dtype, copy=False)
     pair_caches = []
     for layer in range(cfg.layers):
         wx, wh, b = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh", "b"))
@@ -273,11 +289,13 @@ def forward_batch(
         if dropout_rng is None:
             raise ValueError("train mode needs a dropout rng")
         keep = dropout_rng.random(pooled_raw.shape) < cfg.dropout_keep
-        dropout_mask = keep / cfg.dropout_keep
+        dropout_mask = (keep / cfg.dropout_keep).astype(dtype, copy=False)
         pooled = pooled_raw * dropout_mask
 
     logits = pooled @ params.tensors["cls.w"].T + params.tensors["cls.b"]
-    probs = _softmax(logits)
+    # float64 whatever the compute dtype: float32 probabilities saturate to
+    # exactly 0 or 1, and the pseudo-label ranking reads them.
+    probs = _softmax(logits.astype(np.float64, copy=False))
     if not np.isfinite(probs).all():
         raise NumericError("classifier")
     return BatchTrace(
@@ -307,7 +325,8 @@ def batch_loss_ce(probs: np.ndarray, labels: Sequence[int]) -> float:
     labels = np.asarray(labels)
     if probs.shape[0] != labels.shape[0] or probs.shape[0] == 0:
         raise ValueError("probs and labels must be nonempty and aligned")
-    p = np.clip(probs[:, 1], LOG_EPS, 1.0 - LOG_EPS)
+    # float64 first: in float32, 1 - LOG_EPS rounds to 1 and log(1 - p) to log(0).
+    p = np.clip(probs[:, 1].astype(np.float64), LOG_EPS, 1.0 - LOG_EPS)
     return float(np.mean(-(labels * np.log(p) + (1 - labels) * np.log(1.0 - p))))
 
 
@@ -328,11 +347,12 @@ def _bptt_directions(
     bounds = packing.offsets.tolist()
     batch = bounds[1]
     h = wh.shape[2]
-    dz = np.empty((2, dh_out.shape[1], 4 * h))
+    dtype = dh_out.dtype
+    dz = np.empty((2, dh_out.shape[1], 4 * h), dtype=dtype)
     # A carry row is written only at the steps its sequence runs, so it is
     # still zero when the backward sweep reaches that sequence's last step.
-    dh_carry = np.zeros((2, batch, h))
-    dc_carry = np.zeros((2, batch, h))
+    dh_carry = np.zeros((2, batch, h), dtype=dtype)
+    dc_carry = np.zeros((2, batch, h), dtype=dtype)
     for t in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
         n = hi - lo
@@ -341,7 +361,7 @@ def _bptt_directions(
         cand_t = cache.cand[:, lo:hi]
         dh = dh_out[:, lo:hi] + dh_carry[:, :n]
         dc = dc_carry[:, :n] + dh * sig_t[:, :, 2 * h :] * (1.0 - tanh_t * tanh_t)
-        d_pre = np.empty((2, n, 3 * h))
+        d_pre = np.empty((2, n, 3 * h), dtype=dtype)
         d_pre[:, :, :h] = dc * cand_t
         if t:
             d_pre[:, :, h : 2 * h] = dc * cache.cell[:, bounds[t - 1] : bounds[t - 1] + n]
@@ -372,6 +392,7 @@ def backward_batch(
     zero on padded positions, for an unfrozen encoder to consume.
     """
     cfg = params.config
+    dtype = params.dtype
     labels = np.asarray(labels)
     batch = trace.probs.shape[0]
     if labels.shape[0] != batch:
@@ -380,7 +401,7 @@ def backward_batch(
 
     onehot = np.zeros_like(trace.probs)
     onehot[np.arange(batch), labels] = 1.0
-    dlogits = (trace.probs - onehot) / batch
+    dlogits = ((trace.probs - onehot) / batch).astype(dtype, copy=False)
 
     grads["cls.w"][:] = dlogits.T @ trace.pooled
     grads["cls.b"][:] = dlogits.sum(axis=0)
@@ -389,7 +410,7 @@ def backward_batch(
         dpooled = dpooled * trace.dropout_mask
 
     packing = trace.packing
-    dgated = (dpooled * (1.0 / trace.lengths)[:, None])[packing.rows]
+    dgated = (dpooled * (1.0 / trace.lengths).astype(dtype)[:, None])[packing.rows]
 
     if cfg.gate_bypass:
         d_upper = dgated
@@ -406,7 +427,7 @@ def backward_batch(
         dwx, dwh, db, dx = _bptt_directions(trace.pair_caches[layer], dh_pair, wx, wh, packing)
         grads.update({f"lstm{layer}.wx": dwx, f"lstm{layer}.wh": dwh, f"lstm{layer}.b": db})
         d_upper = dx[0] + dx[1][packing.reverse]
-    d_features = np.zeros((batch, trace.width, cfg.d_h))
+    d_features = np.zeros((batch, trace.width, cfg.d_h), dtype=dtype)
     d_features[packing.rows, packing.steps] = d_upper
     return grads, d_features
 
@@ -432,12 +453,17 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[Mapping[str, np.ndarray], AdamState]:
-    """Bias-corrected Adam, updating the parameter arrays in place."""
+    """Bias-corrected Adam, updating the parameter arrays in place.
+
+    Each gradient is cast to its parameter's dtype first, so a float32
+    gradient updates float64 master weights and moments in float64.
+    """
     state.step += 1
     correction1 = 1.0 - beta1**state.step
     correction2 = 1.0 - beta2**state.step
     for name, grad in grads.items():
         tensor = params[name]
+        grad = grad.astype(tensor.dtype, copy=False)
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(tensor), np.zeros_like(tensor)
         m, v = state.m[name], state.v[name]

@@ -26,6 +26,7 @@ from .errors import CheckpointError
 from .head import HeadConfig, HeadParams, forward_batch, init_params
 
 CHECKPOINT_VERSION = 2
+COMPUTE_DTYPE = np.float32
 
 
 def config_hash(payload: dict) -> str:
@@ -34,7 +35,14 @@ def config_hash(payload: dict) -> str:
 
 @dataclass
 class Classifier:
-    """A steganalysis detector: frozen-or-trainable encoder plus the head."""
+    """A steganalysis detector: frozen-or-trainable encoder plus the head.
+
+    ``head`` and the encoder's embedding table are the float64 master
+    weights: Adam updates them and checkpoints store them. Training and
+    inference compute in ``COMPUTE_DTYPE`` (float32) on a copy from
+    :meth:`compute_head`, made once per :meth:`predict` call and once per
+    training batch; only the class probabilities come back in float64.
+    """
 
     encoder: BuiltinEncoder | PrecomputedEncoder
     head: HeadParams
@@ -62,27 +70,37 @@ class Classifier:
         tensors.update({f"head.{k}": v for k, v in self.head.tensors.items()})
         return tensors
 
+    def compute_head(self) -> HeadParams:
+        """A ``COMPUTE_DTYPE`` copy of the head for forward and backward passes."""
+        return self.head.astype(COMPUTE_DTYPE)
+
     def forward_samples(
         self,
         samples: Sequence[TextSample],
+        head: HeadParams,
         mode: str = "eval",
         dropout_rng: np.random.Generator | None = None,
     ):
-        """Encode and run one batch; returns the trace plus the padded id matrix."""
+        """Encode and run one batch through ``head``; returns the trace plus the padded id matrix."""
         feats, lengths, ids = self.encoder.encode_batch(samples)
-        trace = forward_batch(feats, lengths, self.head, mode=mode, dropout_rng=dropout_rng)
+        trace = forward_batch(feats, lengths, head, mode=mode, dropout_rng=dropout_rng)
         return trace, ids
 
     def predict(
         self, samples: Sequence[TextSample], batch_size: int = 256, return_pooled: bool = False
     ):
-        """Eval-mode class probabilities for many samples, in input order."""
+        """Eval-mode class probabilities (float64) for many samples, in input order.
+
+        With ``return_pooled`` the pooled features come back too, in the
+        compute dtype.
+        """
         if not samples:
             raise ValueError("predict needs at least one sample")
+        head = self.compute_head()
         probs = []
         pooled = []
         for start in range(0, len(samples), batch_size):
-            trace, _ = self.forward_samples(samples[start : start + batch_size], mode="eval")
+            trace, _ = self.forward_samples(samples[start : start + batch_size], head, mode="eval")
             probs.append(trace.probs)
             pooled.append(trace.pooled_raw)
         probs = np.concatenate(probs, axis=0)

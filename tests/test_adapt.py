@@ -18,7 +18,7 @@ from stegadapt.adapt import (
 from stegadapt.corpus import TextSample, strip_labels
 from stegadapt.encoder import EncoderConfig
 from stegadapt.head import HeadConfig
-from stegadapt.model import Classifier
+from stegadapt.model import Classifier, load_checkpoint, save_checkpoint
 from oracles import encoder_checksum, models_equal
 
 
@@ -265,6 +265,37 @@ def test_pretrain_model_selection_ties_to_earliest():
     result = pretrain(model, _toy_samples(40, seed=1), _toy_samples(16, seed=2), _toy_cfg())
     first_best = next(rec["epoch"] for rec in result.log if rec["val_acc"] == result.best_val_score)
     assert result.best_index == first_best
+
+
+def test_pretrain_keeps_float64_master_weights_and_moments(monkeypatch, tmp_path):
+    """The head computes in float32; Adam, the weights and checkpoints stay float64."""
+    import stegadapt.adapt as adapt_module
+
+    seen = []
+    real_step = adapt_module.adam_step
+
+    def step(params, grads, state, lr):
+        seen.append(({name: g.dtype for name, g in grads.items()}, state))
+        return real_step(params, grads, state, lr=lr)
+
+    monkeypatch.setattr(adapt_module, "adam_step", step)
+    result = pretrain(_toy_model(), _toy_samples(16), _toy_samples(8), _toy_cfg(pretrain_epochs=1))
+    model = result.model
+    masters = model.trainable_tensors("pretrain")
+    assert all(tensor.dtype == np.float64 for tensor in masters.values())
+    expected = {name: np.float64 if name == "encoder.embedding" else np.float32 for name in masters}
+    assert [grad_dtypes for grad_dtypes, _ in seen] == [expected, expected]
+    state = seen[-1][1]
+    assert state.m.keys() == state.v.keys() == masters.keys()
+    assert all(moment.dtype == np.float64 for moments in (state.m, state.v) for moment in moments.values())
+
+    samples = _toy_samples(9, seed=3)
+    probs = model.predict(samples)
+    assert probs.dtype == np.float64
+    save_checkpoint(tmp_path / "ckpt.npz", model)
+    restored, _ = load_checkpoint(tmp_path / "ckpt.npz")
+    assert all(tensor.dtype == np.float64 for tensor in restored.trainable_tensors("pretrain").values())
+    assert restored.predict(samples).tobytes() == probs.tobytes()
 
 
 # ---------------------------------------------------------------------------

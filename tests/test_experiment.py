@@ -258,6 +258,12 @@ def test_projection_identical_features_land_at_origin(tmp_path):
     assert len(lines) == 6
 
 
+def test_projection_is_computed_in_double_precision(tmp_path):
+    # predict returns float32 pooled features; the PCA runs on a float64 copy.
+    coords = export_projection(_projection_model(), _id_samples(6), tmp_path / "p.csv")
+    assert coords.dtype == np.float64
+
+
 def test_projection_separates_two_clusters(tmp_path, monkeypatch):
     model = _projection_model()
     samples = _id_samples(8)

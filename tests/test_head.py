@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,12 @@ def test_batch_loss_is_mean():
     assert batch_loss_ce(probs, [1, 0]) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("probs, label", [([0.0, 1.0], 1), ([1.0, 0.0], 0), ([0.0, 1.0], 0), ([1.0, 0.0], 1)])
+def test_loss_is_finite_for_saturated_float32_probs(probs, label):
+    # In float32 the clip's 1 - LOG_EPS rounds to 1, so log(1 - p) would be log(0).
+    assert np.isfinite(batch_loss_ce(np.array([probs], dtype=np.float32), [label]))
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -321,6 +329,56 @@ def test_gate_bypass_gradients_are_zero_for_gate():
 
 
 # ---------------------------------------------------------------------------
+# compute dtype
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("gate_bypass", [False, True])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_float32_params_compute_in_float32(layers, gate_bypass, mode):
+    """Float64 features into a float32 head: everything but the probabilities is float32."""
+    params, feats, labels = _mixed_instance(21, layers=layers)
+    params = HeadParams(replace(params.config, gate_bypass=gate_bypass), params.tensors).astype(np.float32)
+    padded, lengths = _pad(feats)
+    trace = forward_batch(padded, lengths, params, mode, np.random.default_rng(0))
+    assert (trace.dropout_mask is not None) == (mode == "train")
+    for f in fields(trace):
+        value = getattr(trace, f.name)
+        if isinstance(value, np.ndarray) and f.name not in ("lengths", "probs"):
+            assert value.dtype == np.float32, f.name
+    assert trace.probs.dtype == np.float64
+    for cache in trace.pair_caches:
+        for f in fields(cache):
+            assert getattr(cache, f.name).dtype == np.float32, f.name
+    grads, d_features = backward_batch(trace, labels, params)
+    assert grads.keys() == params.tensors.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == np.float32, name
+    assert d_features.dtype == np.float32
+
+
+FLOAT32_REL_TOL = 1e-4
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_float32_run_matches_float64_run(layers, mode):
+    """Probabilities and every gradient agree to FLOAT32_REL_TOL of each tensor's largest entry."""
+    params, feats, labels = _mixed_instance(23, layers=layers)
+    padded, lengths = _pad(feats)
+    runs = []
+    for head in (params, params.astype(np.float32)):
+        trace = forward_batch(padded, lengths, head, mode, np.random.default_rng(0))
+        grads, d_features = backward_batch(trace, labels, head)
+        runs.append({"probs": trace.probs, "features": d_features, **grads})
+    double, single = runs
+    for name, ref in double.items():
+        scale = np.abs(ref).max()
+        assert np.abs(single[name] - ref).max() <= FLOAT32_REL_TOL * scale, name
+
+
+# ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
 
@@ -373,6 +431,18 @@ def test_adam_zero_gradient_is_noop():
     state = AdamState()
     adam_step(params, {"x": np.zeros(4)}, state, lr=0.5)
     np.testing.assert_array_equal(params["x"], before)
+
+
+def test_adam_runs_float32_gradients_in_float64():
+    grad = np.array([0.1, -3.7, 1e-3], dtype=np.float32)
+    runs = []
+    for g in (grad, grad.astype(np.float64)):
+        params = {"x": np.array([0.3, -0.7, 2.0])}
+        state = AdamState()
+        for _ in range(3):
+            adam_step(params, {"x": g}, state, lr=0.01)
+        runs.append([params["x"].tobytes(), state.m["x"].tobytes(), state.v["x"].tobytes()])
+    assert runs[0] == runs[1]
 
 
 def test_adam_trajectories_deterministic():
