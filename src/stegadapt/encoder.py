@@ -84,11 +84,6 @@ class BuiltinEncoder:
         ids = ids.astype(np.int64)
         return np.where((ids < 0) | (ids >= self.vocab_size), UNK, ids)
 
-    def encode(self, sample: TextSample) -> np.ndarray:
-        """Feature matrix of shape (len(tokens), d_h)."""
-        ids = self._clean_ids(sample.tokens)
-        return self.table[ids] + self._position_rows(len(ids))
-
     def encode_batch(self, samples: Sequence[TextSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Padded feature tensor (B, T, d_h), lengths, and the padded id matrix."""
         ids_list = [self._clean_ids(s.tokens) for s in samples]
@@ -113,7 +108,7 @@ class BuiltinEncoder:
         """Accumulate feature gradients into embedding-row gradients."""
         grad = np.zeros_like(self.table)
         mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
-        np.add.at(grad, ids[mask], d_features[mask])
+        np.add.at(grad, ids[mask], d_features[mask].astype(grad.dtype))  # mixed dtypes take a slow loop
         grad[PAD] = 0.0
         return {"encoder.embedding": grad}
 
@@ -165,8 +160,9 @@ def load_precomputed(path: str | Path) -> tuple[dict[str, np.ndarray], int | Non
     """Read a line-delimited feature store.
 
     The first record is a header declaring ``d_h``; the rest carry
-    ``{"id": ..., "h": [[...], ...]}`` with rows of exactly that width.
-    Returns the store and the declared width (None for an empty file).
+    ``{"id": ..., "h": [[...], ...]}`` with finite rows of exactly that width.
+    Any other record raises :class:`CorpusError` naming its line. Returns the
+    store and the declared width (None for an empty file).
     """
     store: dict[str, np.ndarray] = {}
     d_h: int | None = None
@@ -181,19 +177,24 @@ def load_precomputed(path: str | Path) -> tuple[dict[str, np.ndarray], int | Non
             if d_h is None:
                 if not isinstance(rec, dict) or "d_h" not in rec:
                     raise CorpusError("first record must be a header declaring d_h", line=lineno)
-                d_h = int(rec["d_h"])
-                if d_h < 2:
-                    raise CorpusError("header d_h must be >= 2", line=lineno)
+                d_h = rec["d_h"]
+                if type(d_h) is not int or d_h < 2:
+                    raise CorpusError(f"header d_h must be an integer >= 2, got {d_h!r}", line=lineno)
                 continue
-            if "id" not in rec or "h" not in rec:
+            if not isinstance(rec, dict) or "id" not in rec or "h" not in rec:
                 raise CorpusError("feature records need 'id' and 'h'", line=lineno)
             sid = str(rec["id"])
             if sid in store:
                 raise IntegrityError(f"duplicate feature id {sid!r} at line {lineno}")
-            rows = rec["h"]
-            if not rows or any(len(r) != d_h for r in rows):
+            try:
+                rows = np.asarray(rec["h"], dtype=np.float64)
+            except (TypeError, ValueError):
+                rows = None
+            if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != d_h:
                 raise CorpusError(f"feature rows for {sid!r} are not uniformly d_h={d_h} wide", line=lineno)
-            store[sid] = np.asarray(rows, dtype=np.float64)
+            if not np.isfinite(rows).all():
+                raise CorpusError(f"feature rows for {sid!r} hold a non-finite value", line=lineno)
+            store[sid] = rows
     return store, d_h
 
 

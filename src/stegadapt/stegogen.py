@@ -1,6 +1,7 @@
 """Cover and stego text generation over a Markov language model.
 
-The language model is an order-k token chain with additive smoothing. Covers
+The language model is an order-k token chain with additive smoothing, built
+once by :func:`fit_lm` from transition counts and immutable afterwards. Covers
 are ancestral samples. At each stego step one code maps the top-2^k next-token
 candidates (k <= bpw) to bits: fixed-length big-endian indices (FLC) or a
 Huffman code over the pool (VLC). Embedding emits the candidate whose code the
@@ -29,12 +30,11 @@ CODINGS = ("flc", "vlc")
 
 @dataclass
 class _CtxStats:
-    """Frozen per-context tables derived from raw counts, in the form the queries read them."""
+    """Per-context tables derived from raw counts, in the form the queries read them."""
 
     ids: tuple[int, ...]     # observed token ids, ascending
-    cum: list[float]         # cumulative counts aligned with ids, for sampling
+    cum: list[float]         # cumulative counts aligned with ids, for sampling; cum[-1] is the total
     ranked: tuple[int, ...]  # observed ids except EOS, by count desc, then id asc
-    total: int
 
 
 class MarkovLM:
@@ -43,10 +43,12 @@ class MarkovLM:
     The distribution ranges over every vocab id except PAD and BOS; EOS is
     sampleable (it terminates sequences) but is excluded from embedding
     candidate pools. With ``alpha == 0`` only observed continuations have
-    positive probability.
+    positive probability. It is built once, by :func:`fit_lm`, from ``counts``
+    (context -> next id -> count), and is immutable: neither ``counts`` nor
+    the per-context tables derived from them change afterwards.
     """
 
-    def __init__(self, order: int, alpha: float, vocab: Vocab):
+    def __init__(self, order: int, alpha: float, vocab: Vocab, counts: dict[tuple[int, ...], dict[int, int]]):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if alpha < 0:
@@ -54,43 +56,20 @@ class MarkovLM:
         self.order = order
         self.alpha = float(alpha)
         self.vocab = vocab
-        self.counts: dict[tuple[int, ...], dict[int, int]] = {}
+        self.counts = counts
         self._ctx: dict[tuple[int, ...], _CtxStats] = {}
+        for ctx, bucket in counts.items():
+            ids = tuple(sorted(bucket))
+            ranked = tuple(t for t in sorted(bucket, key=lambda t: (-bucket[t], t)) if t != EOS)
+            cum = list(itertools.accumulate(float(bucket[i]) for i in ids))
+            self._ctx[ctx] = _CtxStats(ids=ids, cum=cum, ranked=ranked)
         support = [i for i in range(vocab.size) if i not in (PAD, BOS)]
         self.support = np.array(support, dtype=np.int64)
         self._support_no_eos = tuple(i for i in support if i != EOS)
 
-    # -- fitting ---------------------------------------------------------
-
-    def observe(self, sequence: Sequence[int]) -> None:
-        ctx = (BOS,) * self.order
-        for tok in tuple(sequence) + (EOS,):
-            tok = int(tok)
-            if tok in (PAD, BOS) or not 0 <= tok < self.vocab.size:
-                raise ValueError(f"token id {tok} outside the generatable vocabulary")
-            bucket = self.counts.setdefault(ctx, {})
-            bucket[tok] = bucket.get(tok, 0) + 1
-            ctx = ctx[1:] + (tok,)
-        self._ctx.clear()
-
-    def freeze(self) -> None:
-        """Precompute per-context tables; called lazily by the query methods."""
-        for ctx, bucket in self.counts.items():
-            ids = tuple(sorted(bucket))
-            ranked = tuple(t for t in sorted(bucket, key=lambda t: (-bucket[t], t)) if t != EOS)
-            cum = list(itertools.accumulate(float(bucket[i]) for i in ids))
-            self._ctx[ctx] = _CtxStats(ids=ids, cum=cum, ranked=ranked, total=sum(bucket.values()))
-
-    def _stats(self, context: tuple[int, ...]) -> _CtxStats | None:
-        if not self._ctx and self.counts:
-            self.freeze()
-        return self._ctx.get(context)
-
     def _context_key(self, history: Sequence[int]) -> tuple[int, ...]:
         tail = tuple(map(int, history[-self.order :]))
         return (BOS,) * (self.order - len(tail)) + tail
-
-    # -- queries ---------------------------------------------------------
 
     def ranked_candidates(self, history: Sequence[int], n: int) -> list[int]:
         """Top-n next tokens other than EOS by probability desc, ties by id asc.
@@ -99,7 +78,7 @@ class MarkovLM:
         only observed continuations qualify.
         """
         key = self._context_key(history)
-        stats = self._stats(key)
+        stats = self._ctx.get(key)
         ranked = list(stats.ranked[:n]) if stats is not None else []
         if self.alpha > 0 and len(ranked) < n:
             observed = self.counts.get(key, {})
@@ -113,15 +92,15 @@ class MarkovLM:
     def step_probs(self, history: Sequence[int], ids: Sequence[int]) -> np.ndarray:
         """Smoothed probabilities of specific ids in this context."""
         key = self._context_key(history)
-        stats = self._stats(key)
-        total = stats.total if stats else 0
+        stats = self._ctx.get(key)
+        total = stats.cum[-1] if stats else 0
         denom = total + self.alpha * len(self.support)
         bucket = self.counts.get(key, {})
         return np.array([(bucket.get(int(i), 0) + self.alpha) / denom for i in ids])
 
     def sample_next(self, history: Sequence[int], rng: np.random.Generator) -> int:
-        stats = self._stats(self._context_key(history))
-        total = stats.total if stats else 0
+        stats = self._ctx.get(self._context_key(history))
+        total = stats.cum[-1] if stats else 0
         weight = total + self.alpha * len(self.support)
         if weight <= 0:
             raise ValueError("context has no continuations and alpha is 0")
@@ -133,16 +112,20 @@ class MarkovLM:
 
 
 def fit_lm(sequences: Iterable[Sequence[int]], vocab: Vocab, order: int = 2, alpha: float = 0.5) -> MarkovLM:
-    """Count (context, next) transitions over id sequences, BOS padded, EOS terminated."""
-    lm = MarkovLM(order=order, alpha=alpha, vocab=vocab)
-    n = 0
+    """The LM of the (context, next) transition counts over id sequences, BOS padded, EOS terminated."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
     for seq in sequences:
-        lm.observe(seq)
-        n += 1
-    if n == 0:
+        ctx = (BOS,) * order
+        for tok in tuple(seq) + (EOS,):
+            tok = int(tok)
+            if tok in (PAD, BOS) or not 0 <= tok < vocab.size:
+                raise ValueError(f"token id {tok} outside the generatable vocabulary")
+            bucket = counts.setdefault(ctx, {})
+            bucket[tok] = bucket.get(tok, 0) + 1
+            ctx = ctx[1:] + (tok,)
+    if not counts:  # every sequence counts at least its EOS
         raise ValueError("corpus must be nonempty")
-    lm.freeze()
-    return lm
+    return MarkovLM(order, alpha, vocab, counts)
 
 
 def _sample(lm: MarkovLM, tokens: list[int], max_len: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -181,17 +164,6 @@ def _check_codec(bpw: int, coding: str) -> None:
         raise ValueError(f"coding must be one of {CODINGS}, got {coding!r}")
 
 
-class _Node:
-    __slots__ = ("prob", "min_id", "token", "left", "right")
-
-    def __init__(self, prob, min_id, token=None, left=None, right=None):
-        self.prob = prob
-        self.min_id = min_id
-        self.token = token
-        self.left = left
-        self.right = right
-
-
 def huffman_codebook(ids: Sequence[int], probs: Sequence[float]) -> dict[int, tuple[int, ...]]:
     """Deterministic Huffman codes over a candidate pool.
 
@@ -201,29 +173,24 @@ def huffman_codebook(ids: Sequence[int], probs: Sequence[float]) -> dict[int, tu
     edges are bit 0, so a two-symbol pool maps bit 0 to the top-ranked
     candidate exactly like fixed-length indexing does. A single-symbol pool
     gets the empty code.
+
+    Heap entries are ``(prob, min_id, tokens)``; a merge prepends bit 0 to
+    the codes of the left node's tokens and bit 1 to the right node's.
     """
     if len(ids) != len(probs) or not ids:
         raise ValueError("ids and probs must be nonempty and aligned")
-    nodes = [_Node(float(p), int(i), token=int(i)) for i, p in zip(ids, probs)]
-    if len(nodes) == 1:
-        return {nodes[0].token: ()}
-    heap = [(n.prob, n.min_id, n) for n in nodes]
+    heap = [(float(p), int(i), (int(i),)) for i, p in zip(ids, probs)]
+    codes: dict[int, tuple[int, ...]] = {int(i): () for i in ids}
     heapq.heapify(heap)
     while len(heap) > 1:
-        _, _, a = heapq.heappop(heap)
-        _, _, b = heapq.heappop(heap)
-        left, right = (a, b) if a.prob == b.prob else (b, a)
-        parent = _Node(a.prob + b.prob, min(a.min_id, b.min_id), left=left, right=right)
-        heapq.heappush(heap, (parent.prob, parent.min_id, parent))
-    codes: dict[int, tuple[int, ...]] = {}
-    stack = [(heap[0][2], ())]
-    while stack:
-        node, prefix = stack.pop()
-        if node.token is not None:
-            codes[node.token] = prefix
-        else:
-            stack.append((node.left, prefix + (0,)))
-            stack.append((node.right, prefix + (1,)))
+        a = heapq.heappop(heap)
+        b = heapq.heappop(heap)
+        left, right = (a, b) if a[0] == b[0] else (b, a)
+        for tok in left[2]:
+            codes[tok] = (0,) + codes[tok]
+        for tok in right[2]:
+            codes[tok] = (1,) + codes[tok]
+        heapq.heappush(heap, (a[0] + b[0], min(a[1], b[1]), left[2] + right[2]))
     return codes
 
 
@@ -286,10 +253,10 @@ def embed_flc(lm: MarkovLM, payload: Sequence[int], bpw: int, max_len: int, seed
 
 
 def embed_vlc(lm: MarkovLM, payload: Sequence[int], bpw: int, max_len: int, seed) -> StegoResult:
-    """Hide payload bits by walking a Huffman tree over the candidate pool.
+    """Hide payload bits by spelling Huffman codes over the candidate pool.
 
     The pool probabilities are the renormalized smoothed LM probabilities.
-    If the payload runs out mid-walk the remaining edges default to 0, so the
+    If the payload runs out mid-code the remaining bits default to 0, so the
     emitted token's code starts with the real bits and extraction can simply
     truncate.
     """

@@ -3,10 +3,10 @@
 These deliberately avoid the library's own code paths: optimal prefix-code
 length is computed from the complete list of full-binary-tree depth profiles,
 gradients are checked by central finite differences on the public loss, and
-model equality, encoder checksums, the per-sample loss and the full
-next-token distribution are computed from public tensors and ``step_probs``,
-and the LM's sampling and candidate ranking are recomputed from its raw
-``counts`` by an inverse CDF and a full sort.
+model equality, encoder checksums, single-sample features, the per-sample
+loss and the full next-token distribution are computed from public tensors
+and ``step_probs``, and the LM's sampling and candidate ranking are
+recomputed from its raw ``counts`` by an inverse CDF and a full sort.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import hashlib
 
 import numpy as np
 
-from stegadapt.corpus import BOS, EOS, PAD
+from stegadapt.corpus import BOS, EOS, PAD, UNK
+from stegadapt.encoder import sinusoidal_positions
 from stegadapt.head import LOG_EPS
 
 # Depth multisets of all full binary trees with n <= 4 leaves. An optimal
@@ -110,6 +111,17 @@ def encoder_checksum(encoder) -> str:
     digest.update(str(encoder.table.shape).encode())
     digest.update(np.ascontiguousarray(encoder.table).tobytes())
     return digest.hexdigest()
+
+
+def encode_single(encoder, sample) -> np.ndarray:
+    """The (len(tokens), d_h) features of one sample, the oracle for a row of ``encode_batch``.
+
+    Each token's row of a builtin encoder's table (UNK's row for an id outside
+    it) plus the sinusoidal code of its position.
+    """
+    ids = np.asarray(sample.tokens, dtype=np.int64)
+    ids = np.where((ids < 0) | (ids >= encoder.vocab_size), UNK, ids)
+    return encoder.table[ids] + sinusoidal_positions(len(ids), encoder.d_h)
 
 
 def loss_ce(pred, label: int) -> float:

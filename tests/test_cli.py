@@ -152,6 +152,17 @@ def test_unknown_domain_tag_reports_error(workspace, capsys, argv):
     assert not (out / "runs").exists()
 
 
+def test_malformed_feature_store_reports_error(tmp_path, capsys, tiny_config_dict):
+    features = tmp_path / "features.jsonl"
+    features.write_text('{"d_h": 12}\n{"id": "S-cover-00000", "h": 5}\n')
+    config = tmp_path / "config.json"
+    encoder = {**tiny_config_dict["encoder"], "features_path": str(features)}
+    config.write_text(json.dumps({**tiny_config_dict, "encoder": encoder}))
+    assert _run(config, tmp_path / "out", "gen-data") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["truncated", "text", "version-1"])
 def test_unreadable_checkpoint_reports_error(workspace, capsys, kind):
     import numpy as np

@@ -14,11 +14,16 @@ from stegadapt.encoder import (
 )
 from stegadapt.errors import CorpusError, FeatureLookupError, IntegrityError
 from feature_store import save_precomputed
-from oracles import encoder_checksum
+from oracles import encode_single, encoder_checksum
 
 
 def _sample(tokens, sid="s0"):
     return TextSample(id=sid, tokens=tokens, label=None, domain="M")
+
+
+def _features(enc, tokens):
+    """The (len(tokens), d_h) features ``encode_batch`` gives a one-sample batch."""
+    return enc.encode_batch([_sample(tokens)])[0][0]
 
 
 def test_config_validation():
@@ -30,15 +35,15 @@ def test_config_validation():
 
 def test_builtin_unk_rows_differ_only_by_positions():
     enc = BuiltinEncoder(EncoderConfig(d_h=8, seed=1), vocab_size=10)
-    h = enc.encode(_sample((UNK, UNK)))
+    h = _features(enc, (UNK, UNK))
     pos = sinusoidal_positions(2, 8)
     np.testing.assert_allclose(h[0] - h[1], pos[0] - pos[1])
 
 
 def test_builtin_out_of_range_ids_use_unk_row():
     enc = BuiltinEncoder(EncoderConfig(d_h=8, seed=1), vocab_size=10)
-    h_oov = enc.encode(_sample((999,)))
-    h_unk = enc.encode(_sample((UNK,)))
+    h_oov = _features(enc, (999,))
+    h_unk = _features(enc, (UNK,))
     np.testing.assert_array_equal(h_oov, h_unk)
 
 
@@ -46,17 +51,17 @@ def test_builtin_shape_contract_and_empty_error():
     from types import SimpleNamespace
 
     enc = BuiltinEncoder(EncoderConfig(d_h=16, seed=0), vocab_size=12)
-    assert enc.encode(_sample((4, 5, 6))).shape == (3, 16)
+    assert _features(enc, (4, 5, 6)).shape == (3, 16)
     with pytest.raises(ValueError):
-        enc.encode(SimpleNamespace(id="x", tokens=()))
+        enc.encode_batch([SimpleNamespace(id="x", tokens=())])
     with pytest.raises(TypeError):
-        enc.encode(_sample(("surface", "tokens")))
+        enc.encode_batch([_sample(("surface", "tokens"))])
 
 
 def test_builtin_position_sensitivity():
     enc = BuiltinEncoder(EncoderConfig(d_h=8, seed=2), vocab_size=10)
-    fwd = enc.encode(_sample((4, 5, 6)))
-    rev = enc.encode(_sample((6, 5, 4)))
+    fwd = _features(enc, (4, 5, 6))
+    rev = _features(enc, (6, 5, 4))
     assert not np.allclose(fwd, rev)
 
 
@@ -70,7 +75,6 @@ def test_builtin_deterministic_by_seed():
 def test_builtin_frozen_checksum_stable_under_encoding():
     enc = BuiltinEncoder(EncoderConfig(d_h=8, seed=0), vocab_size=10)
     before = encoder_checksum(enc)
-    enc.encode(_sample((4, 5)))
     enc.encode_batch([_sample((4,)), _sample((5, 6, 7), sid="s1")])
     assert encoder_checksum(enc) == before
 
@@ -81,8 +85,8 @@ def test_builtin_batch_matches_single_encoding():
     feats, lengths, ids = enc.encode_batch(samples)
     assert feats.shape == (2, 3, 8)
     np.testing.assert_array_equal(lengths, [3, 1])
-    np.testing.assert_allclose(feats[0], enc.encode(samples[0]))
-    np.testing.assert_allclose(feats[1, :1], enc.encode(samples[1]))
+    np.testing.assert_allclose(feats[0], encode_single(enc, samples[0]))
+    np.testing.assert_allclose(feats[1, :1], encode_single(enc, samples[1]))
     np.testing.assert_array_equal(feats[1, 1:], 0.0)
 
 
@@ -126,6 +130,24 @@ def test_precomputed_ragged_rows_are_format_error(tmp_path):
     path = tmp_path / "feats.jsonl"
     path.write_text('{"d_h": 8}\n{"id": "a", "h": [[1,2,3,4,5,6,7]]}\n')
     with pytest.raises(CorpusError, match="line 2"):
+        load_precomputed(path)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ['{"d_h": [2]}'],
+        ['{"d_h": 2}', "5"],
+        ['{"d_h": 2}', '{"id": "a", "h": 5}'],
+        ['{"d_h": 2}', '{"id": "a", "h": [5]}'],
+        ['{"d_h": 2}', '{"id": "a", "h": [[1e400, 0]]}'],
+    ],
+    ids=["listed-d_h", "number-record", "number-h", "flat-h", "overflowing-value"],
+)
+def test_precomputed_malformed_record_is_format_error_naming_its_line(tmp_path, lines):
+    path = tmp_path / "feats.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=f"line {len(lines)}"):
         load_precomputed(path)
 
 

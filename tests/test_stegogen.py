@@ -20,6 +20,7 @@ from stegadapt.stegogen import (
     sample_cover,
     tokenize_corpus,
 )
+from codec_digest import codec_digests, fit_harbor_lm
 from dataset_digest import dataset_digest
 from oracles import (
     codebook_weighted_length,
@@ -37,11 +38,8 @@ def _vocab(words):
 
 
 def _lm_from_counts(vocab, context_counts, order=1, alpha=0.0):
-    """LM with counts injected directly, for precise pool control."""
-    lm = MarkovLM(order=order, alpha=alpha, vocab=vocab)
-    lm.counts.update(context_counts)
-    lm.freeze()
-    return lm
+    """LM built straight from the given counts, for precise pool control."""
+    return MarkovLM(order, alpha, vocab, context_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +215,18 @@ def test_build_domain_dataset_matches_pinned_digest(harbor_texts, coding, order,
         vocab=vocab, lm_order=order, alpha=alpha, max_len=32, payload_bits=(4, 24),
     )
     assert dataset_digest(result.dataset) == digest
+
+
+# Taken from the generator before the LM became immutable and the Huffman
+# builder lost its node tree; a change here is a change of stego text or bits.
+_PINNED_CODEC_DIGESTS = {
+    "flc": "ab9d505cded8b709993f480b5578392a6dcc9b76068789e56048d1c9be651937",
+    "vlc": "d8aa2bf74e04c071604c3f46ac7b80820b49a21ceb208ce51b1a59ca1fb5bc4c",
+}
+
+
+def test_codec_round_trips_match_pinned_digest_at_every_bpw():
+    assert codec_digests(fit_harbor_lm()) == _PINNED_CODEC_DIGESTS
 
 
 # ---------------------------------------------------------------------------
