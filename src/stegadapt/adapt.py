@@ -39,10 +39,15 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"train.{name} must be >= 1, got {getattr(self, name)}")
         if self.pretrain_epochs < 0 or self.finetune_rounds < 0:
             raise ValueError("epoch and round counts must be >= 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"train.lr must be finite and > 0, got {self.lr}")
+        if not 0 < self.expansion < 1:
+            raise ValueError(f"schedule.p (the expansion factor) must be in (0, 1), got {self.expansion}")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ class DataConfig:
         object.__setattr__(self, "domains", dict(self.domains))
         object.__setattr__(self, "dataset_dirs", dict(self.dataset_dirs))
         object.__setattr__(self, "payload_bits", tuple(self.payload_bits))
+        if len(self.payload_bits) != 2:
+            raise ValueError(f"data.payload_bits must be a pair [lo, hi], got {list(self.payload_bits)}")
         if not self.domains and not self.dataset_dirs:
             raise ValueError("config needs data.domains (corpus files) or data.dataset_dirs")
 

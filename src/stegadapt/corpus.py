@@ -1,18 +1,22 @@
-"""Corpus ingestion, tokenization, vocabulary, and leak-free split assembly.
+"""Corpus ingestion, tokenization, vocabulary, leak-free split assembly, and file I/O.
 
 Samples flow through two representations: straight after ingesting raw text
 their ``tokens`` are surface strings; once a :class:`Vocab` exists they are
-encoded to integer ids, which is what every downstream stage consumes.
+encoded to integer ids, which is what every downstream stage consumes. Every
+JSONL file is read through :func:`read_jsonl` and every file written through
+:func:`atomic_open`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +31,61 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
 _LABEL_NAMES = {COVER: "cover", STEGO: "stego"}
 _NAME_LABELS = {"cover": COVER, "stego": STEGO}
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Write ``path`` through a temp file beside it, renamed over it on success.
+
+    Each writer creates its own ``<name>.<pid>.<hex>.tmp``, so the last to
+    finish publishes its whole content. On any exception the temp file is
+    removed and the old file stays.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Write each string as one newline-terminated line, atomically."""
+    with atomic_open(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
+    """Write one sorted-key JSON object per line, atomically."""
+    write_lines((json.dumps(rec, sort_keys=True) for rec in records), path)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each nonblank line of a JSONL file.
+
+    A line that is not valid UTF-8, not valid JSON or not a JSON object raises
+    :class:`CorpusError` naming it.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                rec = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"not valid UTF-8 ({exc.reason})", line=lineno) from exc
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+            if not isinstance(rec, dict):
+                raise CorpusError("record is not an object", line=lineno)
+            yield lineno, rec
 
 
 @dataclass(frozen=True)
@@ -135,75 +194,71 @@ def load_corpus(path: str | Path, vocab: Vocab | None = None) -> list[TextSample
     """
     samples: list[TextSample] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            if not isinstance(rec, dict):
-                raise CorpusError("record is not an object", line=lineno)
-            for key in ("id", "domain"):
-                if key not in rec:
-                    raise CorpusError(f"missing required key {key!r}", line=lineno)
-            if "text" not in rec and "tokens" not in rec:
-                raise CorpusError("record needs a 'text' or 'tokens' key", line=lineno)
-            sid = str(rec["id"])
-            if sid in seen:
-                raise IntegrityError(f"duplicate sample id {sid!r} at line {lineno}")
-            seen.add(sid)
-            if not isinstance(rec.get("tokens", []), list) or not isinstance(rec.get("text", ""), str):
-                raise CorpusError("'tokens' must be a list and 'text' a string", line=lineno)
-            if "tokens" in rec:
-                tokens = tuple(rec["tokens"])
-                types = set(map(type, tokens))  # exact types: a bool is not an id
-                if types == {str}:
-                    tokens = vocab.encode(tokens) if vocab is not None else tokens
-                elif not types <= {int}:
-                    raise CorpusError("'tokens' must be all integer ids or all strings", line=lineno)
-            else:
-                toks = tokenize(rec["text"])
-                tokens = vocab.encode(toks) if vocab is not None else tuple(toks)
-            label = rec.get("label")
-            if label is not None:
-                if not isinstance(label, str) or label not in _NAME_LABELS:
-                    raise CorpusError(f"unknown label {label!r}", line=lineno)
-                label = _NAME_LABELS[label]
-            try:
-                samples.append(
-                    TextSample(
-                        id=sid,
-                        tokens=tokens,
-                        label=label,
-                        domain=str(rec["domain"]),
-                        bpw=rec.get("bpw"),
-                    )
+    for lineno, rec in read_jsonl(path):
+        for key in ("id", "domain"):
+            if key not in rec:
+                raise CorpusError(f"missing required key {key!r}", line=lineno)
+        if "text" not in rec and "tokens" not in rec:
+            raise CorpusError("record needs a 'text' or 'tokens' key", line=lineno)
+        sid = str(rec["id"])
+        if sid in seen:
+            raise IntegrityError(f"duplicate sample id {sid!r} at line {lineno}")
+        seen.add(sid)
+        if not isinstance(rec.get("tokens", []), list) or not isinstance(rec.get("text", ""), str):
+            raise CorpusError("'tokens' must be a list and 'text' a string", line=lineno)
+        if "tokens" in rec:
+            tokens = tuple(rec["tokens"])
+            types = set(map(type, tokens))  # exact types: a bool is not an id
+            if types == {str}:
+                tokens = vocab.encode(tokens) if vocab is not None else tokens
+            elif not types <= {int}:
+                raise CorpusError("'tokens' must be all integer ids or all strings", line=lineno)
+        else:
+            toks = tokenize(rec["text"])
+            tokens = vocab.encode(toks) if vocab is not None else tuple(toks)
+        label = rec.get("label")
+        if label is not None:
+            if not isinstance(label, str) or label not in _NAME_LABELS:
+                raise CorpusError(f"unknown label {label!r}", line=lineno)
+            label = _NAME_LABELS[label]
+        try:
+            samples.append(
+                TextSample(
+                    id=sid,
+                    tokens=tokens,
+                    label=label,
+                    domain=str(rec["domain"]),
+                    bpw=rec.get("bpw"),
                 )
-            except ValueError as exc:
-                raise CorpusError(str(exc), line=lineno) from exc
+            )
+        except ValueError as exc:
+            raise CorpusError(str(exc), line=lineno) from exc
     return samples
 
 
 def save_corpus(samples: Iterable[TextSample], path: str | Path) -> None:
     """Write samples as JSONL in the format :func:`load_corpus` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            rec = {
-                "id": s.id,
-                "tokens": list(s.tokens),
-                "label": _LABEL_NAMES.get(s.label),
-                "domain": s.domain,
-            }
-            if s.bpw is not None:
-                rec["bpw"] = s.bpw
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    def record(s: TextSample) -> dict:
+        rec = {"id": s.id, "tokens": list(s.tokens), "label": _LABEL_NAMES.get(s.label), "domain": s.domain}
+        return rec if s.bpw is None else {**rec, "bpw": s.bpw}
+
+    write_jsonl(map(record, samples), path)
 
 
 def strip_labels(samples: Iterable[TextSample]) -> list[TextSample]:
     """Drop labels (and generation metadata) to form an unlabeled target pool."""
     return [replace(s, label=UNLABELED, bpw=None) for s in samples]
+
+
+_SPLIT_ROLES = (
+    ("train", "cover", "train_cover"),
+    ("train", "stego", "train_stego"),
+    ("val", "cover", "val_cover"),
+    ("val", "stego", "val_stego"),
+    ("test", "cover", "test_cover"),
+    ("test", "stego", "test_stego"),
+)
 
 
 @dataclass(frozen=True)
@@ -223,7 +278,7 @@ class DomainDataset:
     test_stego: tuple[TextSample, ...]
 
     def __post_init__(self):
-        for name in ("train_cover", "train_stego", "val_cover", "val_stego", "test_cover", "test_stego"):
+        for _, _, name in _SPLIT_ROLES:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         cover_ids = [
             {s.id for s in self.train_cover},
@@ -244,14 +299,7 @@ class DomainDataset:
             raise IntegrityError("duplicate sample ids inside the dataset")
 
     def _parts(self):
-        return (
-            self.train_cover,
-            self.train_stego,
-            self.val_cover,
-            self.val_stego,
-            self.test_cover,
-            self.test_stego,
-        )
+        return tuple(getattr(self, name) for _, _, name in _SPLIT_ROLES)
 
     @property
     def train(self) -> tuple[TextSample, ...]:
@@ -317,22 +365,10 @@ def make_splits(
     )
 
 
-_SPLIT_ROLES = (
-    ("train", "cover", "train_cover"),
-    ("train", "stego", "train_stego"),
-    ("val", "cover", "val_cover"),
-    ("val", "stego", "val_stego"),
-    ("test", "cover", "test_cover"),
-    ("test", "stego", "test_stego"),
-)
-
-
 def write_split_manifest(dataset: DomainDataset, path: str | Path) -> None:
     """Record which sample landed in which split, for reproducibility audits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for split, role, attr in _SPLIT_ROLES:
-            for s in getattr(dataset, attr):
-                fh.write(json.dumps({"id": s.id, "split": split, "role": role}, sort_keys=True) + "\n")
+    placed = ((split, role, s) for split, role, attr in _SPLIT_ROLES for s in getattr(dataset, attr))
+    write_jsonl(({"id": s.id, "split": split, "role": role} for split, role, s in placed), path)
 
 
 def dataset_to_jsonl(dataset: DomainDataset, samples_path: str | Path, manifest_path: str | Path) -> None:
@@ -345,30 +381,23 @@ def dataset_from_jsonl(
 ) -> DomainDataset:
     """Read a dataset that :func:`dataset_to_jsonl` wrote; ``vocab`` is passed to :func:`load_corpus`.
 
-    A split record that is not valid JSON, not an object, lacks ``id``,
-    ``split`` or ``role``, or names an unknown split/role or sample raises
+    A split record that :func:`read_jsonl` rejects, lacks ``id``, ``split``
+    or ``role``, or names an unknown split/role or sample raises
     :class:`CorpusError` with its line number, as does an empty samples file.
     """
     samples = {s.id: s for s in load_corpus(samples_path, vocab=vocab)}
     if not samples:
         raise CorpusError(f"{samples_path} holds no sample records")
     parts: dict[str, list[TextSample]] = {attr: [] for _, _, attr in _SPLIT_ROLES}
-    with open(manifest_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON in split record ({exc.msg})", line=lineno) from exc
-            if not isinstance(rec, dict) or not {"id", "split", "role"} <= rec.keys():
-                raise CorpusError("split record must be an object with 'id', 'split' and 'role'", line=lineno)
-            attr = f"{rec['split']}_{rec['role']}"
-            if attr not in parts:
-                raise CorpusError(f"unknown split/role {rec['split']}/{rec['role']}", line=lineno)
-            sid = str(rec["id"])
-            if sid not in samples:
-                raise CorpusError(f"manifest id {sid!r} missing from samples", line=lineno)
-            parts[attr].append(samples[sid])
+    for lineno, rec in read_jsonl(manifest_path):
+        if not {"id", "split", "role"} <= rec.keys():
+            raise CorpusError("split record needs 'id', 'split' and 'role'", line=lineno)
+        attr = f"{rec['split']}_{rec['role']}"
+        if attr not in parts:
+            raise CorpusError(f"unknown split/role {rec['split']}/{rec['role']}", line=lineno)
+        sid = str(rec["id"])
+        if sid not in samples:
+            raise CorpusError(f"manifest id {sid!r} missing from samples", line=lineno)
+        parts[attr].append(samples[sid])
     domain = next(iter(samples.values())).domain
     return DomainDataset(domain=domain, **parts)

@@ -10,14 +10,13 @@ never trained.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import PAD, UNK, TextSample
+from .corpus import PAD, UNK, TextSample, read_jsonl
 from .errors import CorpusError, FeatureLookupError, IntegrityError
 
 STAGE_PRETRAIN = "pretrain"
@@ -166,35 +165,28 @@ def load_precomputed(path: str | Path) -> tuple[dict[str, np.ndarray], int | Non
     """
     store: dict[str, np.ndarray] = {}
     d_h: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            if d_h is None:
-                if not isinstance(rec, dict) or "d_h" not in rec:
-                    raise CorpusError("first record must be a header declaring d_h", line=lineno)
-                d_h = rec["d_h"]
-                if type(d_h) is not int or d_h < 2:
-                    raise CorpusError(f"header d_h must be an integer >= 2, got {d_h!r}", line=lineno)
-                continue
-            if not isinstance(rec, dict) or "id" not in rec or "h" not in rec:
-                raise CorpusError("feature records need 'id' and 'h'", line=lineno)
-            sid = str(rec["id"])
-            if sid in store:
-                raise IntegrityError(f"duplicate feature id {sid!r} at line {lineno}")
-            try:
-                rows = np.asarray(rec["h"], dtype=np.float64)
-            except (TypeError, ValueError):
-                rows = None
-            if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != d_h:
-                raise CorpusError(f"feature rows for {sid!r} are not uniformly d_h={d_h} wide", line=lineno)
-            if not np.isfinite(rows).all():
-                raise CorpusError(f"feature rows for {sid!r} hold a non-finite value", line=lineno)
-            store[sid] = rows
+    for lineno, rec in read_jsonl(path):
+        if d_h is None:
+            if "d_h" not in rec:
+                raise CorpusError("first record must be a header declaring d_h", line=lineno)
+            d_h = rec["d_h"]
+            if type(d_h) is not int or d_h < 2:
+                raise CorpusError(f"header d_h must be an integer >= 2, got {d_h!r}", line=lineno)
+            continue
+        if "id" not in rec or "h" not in rec:
+            raise CorpusError("feature records need 'id' and 'h'", line=lineno)
+        sid = str(rec["id"])
+        if sid in store:
+            raise IntegrityError(f"duplicate feature id {sid!r} at line {lineno}")
+        try:
+            rows = np.asarray(rec["h"], dtype=np.float64)
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != d_h:
+            raise CorpusError(f"feature rows for {sid!r} are not uniformly d_h={d_h} wide", line=lineno)
+        if not np.isfinite(rows).all():
+            raise CorpusError(f"feature rows for {sid!r} hold a non-finite value", line=lineno)
+        store[sid] = rows
     return store, d_h
 
 

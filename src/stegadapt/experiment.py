@@ -14,7 +14,6 @@ directories and result files.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,11 +23,12 @@ import numpy as np
 from .adapt import TrainResult, evaluate_model, finetune, pretrain
 from .config import DataConfig, ExperimentConfig
 from .corpus import DomainDataset, TextSample, Vocab, dataset_from_jsonl, dataset_to_jsonl, strip_labels
+from .corpus import write_jsonl, write_lines
 from .encoder import load_precomputed
 from .errors import CorpusError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
-from .model import Classifier, atomic_open, config_hash, save_checkpoint
+from .model import Classifier, config_hash, save_checkpoint
 from .stegogen import build_domain_dataset, tokenize_corpus, write_manifest
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
@@ -160,14 +160,12 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
             datasets[tag] = result.dataset
             manifests[tag] = result.manifest
         if cache_root is not None:
-            cache_root.mkdir(parents=True, exist_ok=True)
-            (cache_root / "vocab.json").write_text(vocab.to_json() + "\n", encoding="utf-8")
+            write_lines([vocab.to_json()], cache_root / "vocab.json")
             for tag in generated_tags:
                 tag_dir = cache_root / tag
-                tag_dir.mkdir(exist_ok=True)
                 dataset_to_jsonl(datasets[tag], tag_dir / "samples.jsonl", tag_dir / "splits.jsonl")
                 write_manifest(manifests[tag], tag_dir / "manifest.json")
-            (cache_root / "COMPLETE").write_text("ok\n", encoding="utf-8")
+            write_lines(["ok"], cache_root / "COMPLETE")
 
     store = None
     if cfg.features_path is not None:
@@ -218,9 +216,7 @@ def _save_stage(out_dir: str | Path | None, spec: TaskSpec, seed: int, stage: st
         return
     path = checkpoint_path(out_dir, spec, seed, stage)
     save_checkpoint(path, result.model, extra={"stage": stage, "seed": seed, "variant": spec.ablation})
-    with atomic_open(path.with_name(_STAGE_LOGS[stage])) as fh:
-        for rec in result.log:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(result.log, path.with_name(_STAGE_LOGS[stage]))
 
 
 def pretrain_stage(
@@ -391,13 +387,8 @@ def write_results(
 def write_rows_csv(rows: Sequence[Mapping], path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row[col]
-            cells.append(f"{value:.6f}" if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(",".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c]) for c in CSV_COLUMNS))
+    write_lines(lines, path)
 
 
 def write_markdown_summary(
@@ -414,7 +405,7 @@ def write_markdown_summary(
     for source, target in tasks:
         header += [f"{source}=>{target} ACC", f"{source}=>{target} F1"]
     header += ["Avg ACC", "Avg F1"]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines = [f"## {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for variant, per_task in results.items():
         cells = [variant]
         accs, f1s = [], []
@@ -428,8 +419,7 @@ def write_markdown_summary(
             f1s.append(result.mean_f1)
         cells += [f"{np.mean(accs):.4f}" if accs else "-", f"{np.mean(f1s):.4f}" if f1s else "-"]
         lines.append("| " + " | ".join(cells) + " |")
-    with atomic_open(path) as fh:
-        fh.write(f"## {title}\n\n" + "\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +452,5 @@ def export_projection(model: Classifier, samples: Sequence[TextSample], path: st
     for sample, (x, y) in zip(samples, coords):
         label = "" if sample.label is None else str(sample.label)
         lines.append(f"{sample.id},{x:.8f},{y:.8f},{label}")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
     return coords

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import zipfile
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import TextSample
+from .corpus import TextSample, atomic_open
 from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, make_encoder
 from .errors import CheckpointError
 from .head import HeadConfig, HeadParams, forward_batch, init_params
@@ -126,25 +124,6 @@ def predicted_labels(probs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def atomic_open(path: str | Path, mode: str = "w"):
-    """Write ``path`` through a temp file beside it, renamed over it on success.
-
-    An interrupted write never leaves a partial file under the target's name:
-    on any exception the temp file is removed and the old file stays.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_checkpoint(path: str | Path, model: Classifier, extra: dict | None = None) -> None:
     enc = model.encoder
     meta = {
@@ -174,7 +153,7 @@ def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classi
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = dict(archive)
-    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, TypeError, NotImplementedError, zipfile.BadZipFile) as exc:
         raise CheckpointError(path, f"not a readable .npz archive ({exc})") from exc
     try:
         meta = json.loads(bytes(arrays["meta"]).decode())

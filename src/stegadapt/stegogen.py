@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, TextSample, Vocab, make_splits, tokenize
+from .corpus import BOS, EOS, PAD, TextSample, Vocab, make_splits, tokenize, write_lines
 from .corpus import COVER, STEGO, DomainDataset
 from .errors import DesyncError
 
@@ -395,4 +395,4 @@ def build_domain_dataset(
 
 
 def write_manifest(manifest: Mapping, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dict(manifest), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_lines([json.dumps(dict(manifest), sort_keys=True, indent=2)], path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -105,6 +106,31 @@ def test_section_rejects_every_other_field_name(section):
 def test_value_of_the_wrong_type_rejected(section, key, value):
     raw = {**EVERY_KEY, section: {**EVERY_KEY[section], key: value}}
     with pytest.raises(ValueError, match=f"config key '{key}' in section '{section}' has the wrong type"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("train", "eval_batch_size", 0, "train.eval_batch_size"),
+        ("train", "eval_batch_size", -4, "train.eval_batch_size"),
+        ("train", "lr", 0, "train.lr"),
+        ("train", "lr", -0.01, "train.lr"),
+        ("train", "lr", float("nan"), "train.lr"),
+        ("train", "lr", float("inf"), "train.lr"),
+        ("schedule", "p", 0, "schedule.p"),
+        ("schedule", "p", 1, "schedule.p"),
+        ("schedule", "p", 1.5, "schedule.p"),
+        ("schedule", "p", -0.25, "schedule.p"),
+        ("schedule", "p", float("nan"), "schedule.p"),
+        ("data", "payload_bits", [], "data.payload_bits"),
+        ("data", "payload_bits", [8], "data.payload_bits"),
+        ("data", "payload_bits", [2, 6, 8], "data.payload_bits"),
+    ],
+)
+def test_out_of_range_value_rejected_at_load(section, key, value, field):
+    raw = {**EVERY_KEY, section: {**EVERY_KEY[section], key: value}}
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} "):
         config_from_dict(raw)
 
 

@@ -17,6 +17,7 @@ from stegadapt.corpus import (
     DomainDataset,
     TextSample,
     Vocab,
+    atomic_open,
     build_vocab,
     dataset_from_jsonl,
     dataset_to_jsonl,
@@ -296,3 +297,29 @@ def test_split_manifest_and_jsonl_roundtrip(tmp_path):
     dataset_to_jsonl(ds, tmp_path / "s.jsonl", tmp_path / "m2.jsonl")
     again = dataset_from_jsonl(tmp_path / "s.jsonl", tmp_path / "m2.jsonl")
     assert again == ds
+
+
+def test_non_utf8_samples_line_names_it(tmp_path):
+    dataset = make_splits(_pool("c", 3), _pool("s", 3, STEGO, 1), {"train": 1, "val": 1, "test": 1}, seed=0)
+    dataset_to_jsonl(dataset, tmp_path / "samples.jsonl", tmp_path / "splits.jsonl")
+    lines = (tmp_path / "samples.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "samples.jsonl").write_bytes(lines[0] + lines[1].replace(b'"M"', b'"M\xff"') + b"".join(lines[2:]))
+    with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
+        dataset_from_jsonl(tmp_path / "samples.jsonl", tmp_path / "splits.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# atomic_open
+# ---------------------------------------------------------------------------
+
+
+def test_nested_writers_of_one_path_both_publish(tmp_path):
+    path = tmp_path / "out.txt"
+    with atomic_open(path) as outer:
+        outer.write("outer\n" * 1000)
+        with atomic_open(path) as inner:
+            inner.write("inner\n")
+        assert path.read_text() == "inner\n"
+        outer.write("end\n")
+    assert path.read_text() == "outer\n" * 1000 + "end\n"
+    assert not list(tmp_path.glob("*.tmp"))

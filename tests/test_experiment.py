@@ -403,7 +403,7 @@ def test_interrupted_artifact_write_keeps_the_old_file(write, tmp_path, monkeypa
 
     def open_failing(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
-        if "w" in mode and Path(file).name.startswith(path.name):
+        if mode[0] in "wx" and Path(file).name.startswith(path.name):
             return _FailsPartway(fh)
         return fh
 
