@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class PseudoPool:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def labels_by_id(self) -> dict[str, int]:
-        return {e.sample_id: e.label for e in self.entries}
 
 
 @dataclass
@@ -195,6 +192,41 @@ def _labeled_pairs(samples: Sequence[TextSample]) -> list[tuple[TextSample, int]
     return pairs
 
 
+def _train_stage(
+    model: Classifier,
+    val_samples: Sequence[TextSample],
+    cfg: TrainConfig,
+    stage: str,
+    stream: int,
+    rounds: Callable[[Classifier], Iterable[tuple[list, dict]]],
+    start_competes: bool,
+) -> TrainResult:
+    """Train a clone of ``model`` one epoch per round and keep the best-val-ACC checkpoint.
+
+    ``rounds(work)`` yields each round's training pairs and log fields; it may
+    read ``work``, the clone, as trained through the round before. Round
+    ``i`` (from 1) shuffles and drops out from the seed streams ``(cfg.seed,
+    stream, i)`` and ``(cfg.seed, stream + 1, i)``. Ties keep the earliest
+    round; with ``start_competes`` the starting checkpoint is round 0.
+    """
+    work = model.clone()
+    best = work.clone()
+    best_acc = best_index = None
+    if start_competes:
+        best_acc, best_index = evaluate_model(work, val_samples, cfg.eval_batch_size).acc, 0
+    optimizer = AdamState()
+    log: list[dict] = []
+    for index, (pairs, fields) in enumerate(rounds(work), start=1):
+        shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream, index]))
+        dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream + 1, index]))
+        train_loss = _train_one_epoch(work, pairs, stage, cfg, optimizer, shuffle_rng, dropout_rng)
+        val = evaluate_model(work, val_samples, cfg.eval_batch_size)
+        log.append({**fields, "train_loss": train_loss, "val_acc": val.acc, "val_f1": val.f1})
+        if best_acc is None or val.acc > best_acc:
+            best, best_acc, best_index = work.clone(), val.acc, index
+    return TrainResult(model=best, log=log, best_index=best_index, best_val_score=best_acc)
+
+
 def pretrain(
     model: Classifier,
     train_samples: Sequence[TextSample],
@@ -209,23 +241,8 @@ def pretrain(
     pairs = _labeled_pairs(train_samples)
     if not pairs:
         raise ValueError("source training data is empty")
-    work = model.clone()
-    best = work.clone()
-    best_acc = None
-    best_epoch = None
-    optimizer = AdamState()
-    log: list[dict] = []
-    for epoch in range(1, cfg.pretrain_epochs + 1):
-        shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11, epoch]))
-        dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12, epoch]))
-        train_loss = _train_one_epoch(work, pairs, STAGE_PRETRAIN, cfg, optimizer, shuffle_rng, dropout_rng)
-        val = evaluate_model(work, val_samples, cfg.eval_batch_size)
-        log.append({"epoch": epoch, "train_loss": train_loss, "val_acc": val.acc, "val_f1": val.f1})
-        if best_acc is None or val.acc > best_acc:
-            best = work.clone()
-            best_acc = val.acc
-            best_epoch = epoch
-    return TrainResult(model=best, log=log, best_index=best_epoch, best_val_score=best_acc)
+    epochs = lambda work: ((pairs, {"epoch": epoch}) for epoch in range(1, cfg.pretrain_epochs + 1))
+    return _train_stage(model, val_samples, cfg, STAGE_PRETRAIN, 11, epochs, start_competes=False)
 
 
 def finetune(
@@ -251,47 +268,26 @@ def finetune(
         raise ValueError("target pool is empty")
     if any(s.label is not None for s in target_pool):
         raise ValueError("target pool must be unlabeled; strip labels first")
-    work = model.clone()
     if cfg.finetune_rounds == 0:
-        return TrainResult(model=work, log=[], best_index=None, best_val_score=None)
+        return TrainResult(model=model.clone(), log=[], best_index=None, best_val_score=None)
     samples_by_id = {s.id: s for s in target_pool}
     schedule = schedule_sizes(cfg.expansion, len(target_pool), cfg.finetune_rounds)
-    optimizer = AdamState()
-    best = work.clone()
-    best_acc = evaluate_model(work, target_val, cfg.eval_batch_size).acc
-    best_round = 0
-    previous_labels: dict[str, int] | None = None
-    log: list[dict] = []
-    for round_idx, m_t in enumerate(schedule, start=1):
-        pool = estimate_pseudo_labels(work, target_pool, cfg.eval_batch_size)
-        current_labels = pool.labels_by_id()
-        if previous_labels is None:
-            churn = 0.0
-        else:
-            changed = sum(previous_labels[sid] != lab for sid, lab in current_labels.items())
-            churn = changed / len(current_labels)
-        previous_labels = current_labels
 
-        selected = select_balanced(pool, m_t)
-        pairs = [(samples_by_id[e.sample_id], e.label) for e in selected]
-        shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 21, round_idx]))
-        dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 22, round_idx]))
-        train_loss = _train_one_epoch(work, pairs, STAGE_FINETUNE, cfg, optimizer, shuffle_rng, dropout_rng)
-        val = evaluate_model(work, target_val, cfg.eval_batch_size)
-        log.append(
-            {
+    def pseudo_rounds(work: Classifier):
+        previous = None
+        for round_idx, m_t in enumerate(schedule, start=1):
+            pool = estimate_pseudo_labels(work, target_pool, cfg.eval_batch_size)
+            labels = [e.label for e in pool.entries]  # in pool order, every round
+            churn = 0.0 if previous is None else sum(a != b for a, b in zip(previous, labels)) / len(labels)
+            previous = labels
+            selected = select_balanced(pool, m_t)
+            fields = {
                 "round": round_idx,
                 "m": m_t,
                 "selected_stego": sum(e.label == STEGO for e in selected),
                 "mean_confidence": float(np.mean([e.confidence for e in selected])),
                 "churn": churn,
-                "train_loss": train_loss,
-                "val_acc": val.acc,
-                "val_f1": val.f1,
             }
-        )
-        if val.acc > best_acc:
-            best = work.clone()
-            best_acc = val.acc
-            best_round = round_idx
-    return TrainResult(model=best, log=log, best_index=best_round, best_val_score=best_acc)
+            yield [(samples_by_id[e.sample_id], e.label) for e in selected], fields
+
+    return _train_stage(model, target_val, cfg, STAGE_FINETUNE, 21, pseudo_rounds, start_competes=True)

@@ -4,53 +4,22 @@ Sections: ``data`` (domain corpora and generation knobs), ``encoder``,
 ``head``, ``train``, ``schedule`` (its one key ``p`` sets
 ``TrainConfig.expansion``, the pseudo-label growth factor), and ``eval``.
 Each section's keys and defaults are the fields of the dataclass that holds
-it (``DataConfig``, ``EncoderConfig``, ``HeadConfig``, ``TrainConfig``,
-``EvalConfig``); unknown sections or keys, and values whose type differs from
-the field's default, are rejected so typos fail loudly.
+it, beside the code that reads it (``DataConfig`` in ``stegogen``, ``EvalConfig``
+here); unknown sections or keys, and values whose type differs from the field's
+default, are rejected so typos fail loudly, and each dataclass checks its ranges.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
 from .adapt import TrainConfig
 from .encoder import EncoderConfig
 from .head import HeadConfig
-
-@dataclass(frozen=True)
-class DataConfig:
-    domains: Mapping[str, str] = field(default_factory=dict)
-    dataset_dirs: Mapping[str, str] = field(default_factory=dict)
-    lm_order: int = 2
-    alpha: float = 0.5
-    min_freq: int = 2
-    max_len: int = 64
-    train: int = 2000
-    val: int = 200
-    test: int = 200
-    bpw: int = 1
-    coding: str = "flc"
-    payload_bits: tuple[int, int] = (16, 48)
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "domains", dict(self.domains))
-        object.__setattr__(self, "dataset_dirs", dict(self.dataset_dirs))
-        object.__setattr__(self, "payload_bits", tuple(self.payload_bits))
-        if len(self.payload_bits) != 2:
-            raise ValueError(f"data.payload_bits must be a pair [lo, hi], got {list(self.payload_bits)}")
-        if not self.domains and not self.dataset_dirs:
-            raise ValueError("config needs data.domains (corpus files) or data.dataset_dirs")
-
-    @property
-    def sizes(self) -> dict[str, int]:
-        return {"train": self.train, "val": self.val, "test": self.test}
-
-    def domain_tags(self) -> list[str]:
-        return sorted(set(self.domains) | set(self.dataset_dirs))
+from .stegogen import DataConfig
 
 
 @dataclass(frozen=True)

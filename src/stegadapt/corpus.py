@@ -3,7 +3,8 @@
 Samples flow through two representations: straight after ingesting raw text
 their ``tokens`` are surface strings; once a :class:`Vocab` exists they are
 encoded to integer ids, which is what every downstream stage consumes. Every
-JSONL file is read through :func:`read_jsonl` and every file written through
+JSONL file is read through :func:`read_jsonl`, every reader reports a bad file
+through :func:`reading`, which names it, and every file is written through
 :func:`atomic_open`.
 """
 
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, CorpusError, IntegrityError
+from .errors import CapacityError, CorpusError, IntegrityError, StegadaptError
 
 COVER = 0
 STEGO = 1
@@ -64,6 +65,18 @@ def write_lines(lines: Iterable[str], path: str | Path) -> None:
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
     """Write one sorted-key JSON object per line, atomically."""
     write_lines((json.dumps(rec, sort_keys=True) for rec in records), path)
+
+
+@contextmanager
+def reading(path: str | Path):
+    """Name ``path`` in the package errors raised inside (``CorpusError.line`` stays) and in UTF-8 errors."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except StegadaptError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -154,7 +167,10 @@ class Vocab:
 
     @classmethod
     def from_json(cls, payload: str) -> "Vocab":
-        raw = json.loads(payload)
+        try:
+            raw = json.loads(payload)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"vocab file is not valid JSON ({exc.msg})", line=exc.lineno) from exc
         tokens = raw.get("tokens") if isinstance(raw, dict) else None
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise CorpusError('vocab file is not {"tokens": [<strings>]}')
@@ -190,49 +206,43 @@ def load_corpus(path: str | Path, vocab: Vocab | None = None) -> list[TextSample
     through :func:`tokenize`) or ``tokens`` (all integer ids or all surface
     strings). ``label`` may be "cover", "stego", or null/absent; stego
     records must carry ``bpw``. With a ``vocab``, surface tokens are encoded
-    to ids.
+    to ids. A bad record raises :class:`CorpusError` naming the file and line.
     """
     samples: list[TextSample] = []
     seen: set[str] = set()
-    for lineno, rec in read_jsonl(path):
-        for key in ("id", "domain"):
-            if key not in rec:
-                raise CorpusError(f"missing required key {key!r}", line=lineno)
-        if "text" not in rec and "tokens" not in rec:
-            raise CorpusError("record needs a 'text' or 'tokens' key", line=lineno)
-        sid = str(rec["id"])
-        if sid in seen:
-            raise IntegrityError(f"duplicate sample id {sid!r} at line {lineno}")
-        seen.add(sid)
-        if not isinstance(rec.get("tokens", []), list) or not isinstance(rec.get("text", ""), str):
-            raise CorpusError("'tokens' must be a list and 'text' a string", line=lineno)
-        if "tokens" in rec:
-            tokens = tuple(rec["tokens"])
-            types = set(map(type, tokens))  # exact types: a bool is not an id
-            if types == {str}:
-                tokens = vocab.encode(tokens) if vocab is not None else tokens
-            elif not types <= {int}:
-                raise CorpusError("'tokens' must be all integer ids or all strings", line=lineno)
-        else:
-            toks = tokenize(rec["text"])
-            tokens = vocab.encode(toks) if vocab is not None else tuple(toks)
-        label = rec.get("label")
-        if label is not None:
-            if not isinstance(label, str) or label not in _NAME_LABELS:
-                raise CorpusError(f"unknown label {label!r}", line=lineno)
-            label = _NAME_LABELS[label]
-        try:
-            samples.append(
-                TextSample(
-                    id=sid,
-                    tokens=tokens,
-                    label=label,
-                    domain=str(rec["domain"]),
-                    bpw=rec.get("bpw"),
-                )
-            )
-        except ValueError as exc:
-            raise CorpusError(str(exc), line=lineno) from exc
+    with reading(path):
+        for lineno, rec in read_jsonl(path):
+            for key in ("id", "domain"):
+                if key not in rec:
+                    raise CorpusError(f"missing required key {key!r}", line=lineno)
+            if "text" not in rec and "tokens" not in rec:
+                raise CorpusError("record needs a 'text' or 'tokens' key", line=lineno)
+            sid = str(rec["id"])
+            if sid in seen:
+                raise IntegrityError(f"duplicate sample id {sid!r} at line {lineno}")
+            seen.add(sid)
+            if not isinstance(rec.get("tokens", []), list) or not isinstance(rec.get("text", ""), str):
+                raise CorpusError("'tokens' must be a list and 'text' a string", line=lineno)
+            if "tokens" in rec:
+                tokens = tuple(rec["tokens"])
+                types = set(map(type, tokens))  # exact types: a bool is not an id
+                if types == {str}:
+                    tokens = vocab.encode(tokens) if vocab is not None else tokens
+                elif not types <= {int}:
+                    raise CorpusError("'tokens' must be all integer ids or all strings", line=lineno)
+            else:
+                toks = tokenize(rec["text"])
+                tokens = vocab.encode(toks) if vocab is not None else tuple(toks)
+            label = rec.get("label")
+            if label is not None:
+                if not isinstance(label, str) or label not in _NAME_LABELS:
+                    raise CorpusError(f"unknown label {label!r}", line=lineno)
+                label = _NAME_LABELS[label]
+            try:
+                sample = TextSample(id=sid, tokens=tokens, label=label, domain=str(rec["domain"]), bpw=rec.get("bpw"))
+            except ValueError as exc:
+                raise CorpusError(str(exc), line=lineno) from exc
+            samples.append(sample)
     return samples
 
 
@@ -383,21 +393,21 @@ def dataset_from_jsonl(
 
     A split record that :func:`read_jsonl` rejects, lacks ``id``, ``split``
     or ``role``, or names an unknown split/role or sample raises
-    :class:`CorpusError` with its line number, as does an empty samples file.
+    :class:`CorpusError` with its file and line, as does an empty samples file.
     """
     samples = {s.id: s for s in load_corpus(samples_path, vocab=vocab)}
     if not samples:
         raise CorpusError(f"{samples_path} holds no sample records")
     parts: dict[str, list[TextSample]] = {attr: [] for _, _, attr in _SPLIT_ROLES}
-    for lineno, rec in read_jsonl(manifest_path):
-        if not {"id", "split", "role"} <= rec.keys():
-            raise CorpusError("split record needs 'id', 'split' and 'role'", line=lineno)
-        attr = f"{rec['split']}_{rec['role']}"
-        if attr not in parts:
-            raise CorpusError(f"unknown split/role {rec['split']}/{rec['role']}", line=lineno)
-        sid = str(rec["id"])
-        if sid not in samples:
-            raise CorpusError(f"manifest id {sid!r} missing from samples", line=lineno)
-        parts[attr].append(samples[sid])
-    domain = next(iter(samples.values())).domain
-    return DomainDataset(domain=domain, **parts)
+    with reading(manifest_path):
+        for lineno, rec in read_jsonl(manifest_path):
+            if not {"id", "split", "role"} <= rec.keys():
+                raise CorpusError("split record needs 'id', 'split' and 'role'", line=lineno)
+            attr = f"{rec['split']}_{rec['role']}"
+            if attr not in parts:
+                raise CorpusError(f"unknown split/role {rec['split']}/{rec['role']}", line=lineno)
+            sid = str(rec["id"])
+            if sid not in samples:
+                raise CorpusError(f"manifest id {sid!r} missing from samples", line=lineno)
+            parts[attr].append(samples[sid])
+        return DomainDataset(domain=next(iter(samples.values())).domain, **parts)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PAD, UNK, TextSample, read_jsonl
+from .corpus import PAD, UNK, TextSample, read_jsonl, reading
 from .errors import CorpusError, FeatureLookupError, IntegrityError
 
 STAGE_PRETRAIN = "pretrain"
@@ -160,33 +160,34 @@ def load_precomputed(path: str | Path) -> tuple[dict[str, np.ndarray], int | Non
 
     The first record is a header declaring ``d_h``; the rest carry
     ``{"id": ..., "h": [[...], ...]}`` with finite rows of exactly that width.
-    Any other record raises :class:`CorpusError` naming its line. Returns the
-    store and the declared width (None for an empty file).
+    Any other record raises :class:`CorpusError` naming the file and line.
+    Returns the store and the declared width (None for an empty file).
     """
     store: dict[str, np.ndarray] = {}
     d_h: int | None = None
-    for lineno, rec in read_jsonl(path):
-        if d_h is None:
-            if "d_h" not in rec:
-                raise CorpusError("first record must be a header declaring d_h", line=lineno)
-            d_h = rec["d_h"]
-            if type(d_h) is not int or d_h < 2:
-                raise CorpusError(f"header d_h must be an integer >= 2, got {d_h!r}", line=lineno)
-            continue
-        if "id" not in rec or "h" not in rec:
-            raise CorpusError("feature records need 'id' and 'h'", line=lineno)
-        sid = str(rec["id"])
-        if sid in store:
-            raise IntegrityError(f"duplicate feature id {sid!r} at line {lineno}")
-        try:
-            rows = np.asarray(rec["h"], dtype=np.float64)
-        except (TypeError, ValueError):
-            rows = None
-        if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != d_h:
-            raise CorpusError(f"feature rows for {sid!r} are not uniformly d_h={d_h} wide", line=lineno)
-        if not np.isfinite(rows).all():
-            raise CorpusError(f"feature rows for {sid!r} hold a non-finite value", line=lineno)
-        store[sid] = rows
+    with reading(path):
+        for lineno, rec in read_jsonl(path):
+            if d_h is None:
+                if "d_h" not in rec:
+                    raise CorpusError("first record must be a header declaring d_h", line=lineno)
+                d_h = rec["d_h"]
+                if type(d_h) is not int or d_h < 2:
+                    raise CorpusError(f"header d_h must be an integer >= 2, got {d_h!r}", line=lineno)
+                continue
+            if "id" not in rec or "h" not in rec:
+                raise CorpusError("feature records need 'id' and 'h'", line=lineno)
+            sid = str(rec["id"])
+            if sid in store:
+                raise IntegrityError(f"duplicate feature id {sid!r} at line {lineno}")
+            try:
+                rows = np.asarray(rec["h"], dtype=np.float64)
+            except (TypeError, ValueError):
+                rows = None
+            if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != d_h:
+                raise CorpusError(f"feature rows for {sid!r} are not uniformly d_h={d_h} wide", line=lineno)
+            if not np.isfinite(rows).all():
+                raise CorpusError(f"feature rows for {sid!r} hold a non-finite value", line=lineno)
+            store[sid] = rows
     return store, d_h
 
 

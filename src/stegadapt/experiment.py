@@ -21,15 +21,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .adapt import TrainResult, evaluate_model, finetune, pretrain
-from .config import DataConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .corpus import DomainDataset, TextSample, Vocab, dataset_from_jsonl, dataset_to_jsonl, strip_labels
-from .corpus import write_jsonl, write_lines
+from .corpus import reading, write_jsonl, write_lines
 from .encoder import load_precomputed
 from .errors import CorpusError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
 from .model import Classifier, config_hash, save_checkpoint
-from .stegogen import build_domain_dataset, tokenize_corpus, write_manifest
+from .stegogen import DataConfig, build_domain_dataset, tokenize_corpus, write_manifest
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
 SLB_LAYERS = 2  # Bi-LSTM layers of the stacked-LSTM (w-SLB) variant
@@ -120,7 +120,8 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     for dirname in sorted(cfg.data.dataset_dirs.values()):
         vocab_file = Path(dirname) / "vocab.json"
         if vocab_file.exists():
-            loaded = Vocab.from_json(vocab_file.read_text(encoding="utf-8"))
+            with reading(vocab_file):
+                loaded = Vocab.from_json(vocab_file.read_text(encoding="utf-8"))
             if vocab is not None and loaded.id_to_token != vocab.id_to_token:
                 raise CorpusError("dataset_dirs disagree on the vocabulary")
             vocab = loaded
@@ -133,7 +134,8 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     if generated_tags and cache_dir is not None:
         cache_root = Path(cache_dir) / "data" / _data_key(cfg.data)
     if cache_root is not None and (cache_root / "COMPLETE").exists():
-        vocab = Vocab.from_json((cache_root / "vocab.json").read_text(encoding="utf-8"))
+        with reading(cache_root / "vocab.json"):
+            vocab = Vocab.from_json((cache_root / "vocab.json").read_text(encoding="utf-8"))
         for tag in generated_tags:
             datasets[tag] = dataset_from_jsonl(cache_root / tag / "samples.jsonl", cache_root / tag / "splits.jsonl")
     elif generated_tags:
@@ -144,19 +146,7 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
         manifests = {}
         for index, tag in enumerate(generated_tags):
             seed = int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
-            result = build_domain_dataset(
-                texts[tag],
-                domain=tag,
-                sizes=cfg.data.sizes,
-                bpw=cfg.data.bpw,
-                coding=cfg.data.coding,
-                seed=seed,
-                lm_order=cfg.data.lm_order,
-                alpha=cfg.data.alpha,
-                vocab=vocab,
-                max_len=cfg.data.max_len,
-                payload_bits=cfg.data.payload_bits,
-            )
+            result = build_domain_dataset(texts[tag], tag, cfg.data, seed, vocab)
             datasets[tag] = result.dataset
             manifests[tag] = result.manifest
         if cache_root is not None:

@@ -7,6 +7,7 @@ candidates (k <= bpw) to bits: fixed-length big-endian indices (FLC) or a
 Huffman code over the pool (VLC). Embedding emits the candidate whose code the
 payload spells; extraction rebuilds that code and reads the token's bits back,
 so embedding needs no randomness while bits remain and round-trips are exact.
+:class:`DataConfig` holds and checks every knob :func:`build_domain_dataset` reads.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import bisect
 import heapq
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, TextSample, Vocab, make_splits, tokenize, write_lines
+from .corpus import BOS, EOS, PAD, TextSample, Vocab, make_splits, reading, tokenize, write_lines
 from .corpus import COVER, STEGO, DomainDataset
 from .errors import DesyncError
 
@@ -306,52 +307,76 @@ class GenerationResult:
 
 def tokenize_corpus(corpus_path: str | Path) -> list[list[str]]:
     """The tokenized nonempty lines of a text corpus, in file order."""
-    lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
+    with reading(corpus_path):
+        lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
     texts = [toks for toks in (tokenize(line) for line in lines) if toks]
     if not texts:
         raise ValueError(f"{corpus_path}: no usable text lines")
     return texts
 
 
+@dataclass(frozen=True)
+class DataConfig:
+    """The ``data`` section: domain sources and the generation spec, checked whether or not a domain is generated."""
+
+    domains: Mapping[str, str] = field(default_factory=dict)
+    dataset_dirs: Mapping[str, str] = field(default_factory=dict)
+    lm_order: int = 2
+    alpha: float = 0.5
+    min_freq: int = 2
+    max_len: int = 64
+    train: int = 2000
+    val: int = 200
+    test: int = 200
+    bpw: int = 1
+    coding: str = "flc"
+    payload_bits: tuple[int, int] = (16, 48)
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "domains", dict(self.domains))
+        object.__setattr__(self, "dataset_dirs", dict(self.dataset_dirs))
+        object.__setattr__(self, "payload_bits", tuple(self.payload_bits))
+        if len(self.payload_bits) != 2:
+            raise ValueError(f"data.payload_bits must be a pair [lo, hi], got {list(self.payload_bits)}")
+        if not self.domains and not self.dataset_dirs:
+            raise ValueError("config needs data.domains (corpus files) or data.dataset_dirs")
+        try:
+            _check_codec(self.bpw, self.coding)
+        except ValueError as exc:
+            raise ValueError(f"data.{exc}") from None
+        if not 1 <= self.payload_bits[0] <= self.payload_bits[1] <= self.max_len:
+            raise ValueError(f"data.payload_bits must be 1 <= lo <= hi <= data.max_len, got {list(self.payload_bits)}")
+
+    @property
+    def sizes(self) -> dict[str, int]:
+        return {"train": self.train, "val": self.val, "test": self.test}
+
+    def domain_tags(self) -> list[str]:
+        return sorted(set(self.domains) | set(self.dataset_dirs))
+
+
 def build_domain_dataset(
-    texts: Sequence[Sequence[str]],
-    *,
-    domain: str,
-    sizes: Mapping[str, int],
-    bpw: int,
-    coding: str,
-    seed: int,
-    vocab: Vocab,
-    lm_order: int = 2,
-    alpha: float = 0.5,
-    max_len: int = 64,
-    payload_bits: tuple[int, int] = (16, 48),
+    texts: Sequence[Sequence[str]], domain: str, data: DataConfig, seed: int, vocab: Vocab
 ) -> GenerationResult:
-    """Fit a domain LM on ``vocab``-encoded texts and generate a full cover/stego dataset.
+    """Fit a domain LM on ``vocab``-encoded texts and generate a full cover/stego dataset to the ``data`` spec.
 
     One LM per domain produces the covers and the stego texts for every
     split. Per-sample RNG streams are derived from (seed, class, index) so
     generation is reproducible and order independent.
     """
-    _check_codec(bpw, coding)
-    lo, hi = payload_bits
-    if not 1 <= lo <= hi:
-        raise ValueError(f"payload_bits range must satisfy 1 <= lo <= hi, got {payload_bits}")
-    if hi > max_len:
-        raise ValueError(f"payload_bits upper bound {hi} exceeds max_len {max_len}")
-
     sequences = [vocab.encode(t) for t in texts]
-    lm = fit_lm(sequences, vocab, order=lm_order, alpha=alpha)
-
-    n_per_class = sizes["train"] + sizes["val"] + sizes["test"]
-    embed = embed_flc if coding == "flc" else embed_vlc
+    lm = fit_lm(sequences, vocab, order=data.lm_order, alpha=data.alpha)
+    lo, hi = data.payload_bits
+    n_per_class = data.train + data.val + data.test
+    embed = embed_flc if data.coding == "flc" else embed_vlc
 
     covers = []
     for i in range(n_per_class):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0, i]))
         tokens = ()
         for _ in range(100):
-            tokens = sample_cover(lm, max_len, rng)
+            tokens = sample_cover(lm, data.max_len, rng)
             if tokens:
                 break
         if not tokens:
@@ -365,31 +390,29 @@ def build_domain_dataset(
         for _ in range(100):
             n_bits = int(rng.integers(lo, hi + 1))
             payload = rng.integers(0, 2, n_bits).tolist()
-            attempt = embed(lm, payload, bpw, max_len, rng)
+            attempt = embed(lm, payload, data.bpw, data.max_len, rng)
             if attempt.bits_consumed == n_bits and attempt.tokens:
                 result = attempt
                 break
         if result is None:
-            raise ValueError(
-                f"could not embed a payload from {payload_bits} within max_len={max_len}"
-            )
+            raise ValueError(f"could not embed a payload from {data.payload_bits} within max_len={data.max_len}")
         stegos.append(
-            TextSample(id=f"{domain}-stego-{i:05d}", tokens=result.tokens, label=STEGO, domain=domain, bpw=bpw)
+            TextSample(id=f"{domain}-stego-{i:05d}", tokens=result.tokens, label=STEGO, domain=domain, bpw=data.bpw)
         )
 
     split_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
-    dataset = make_splits(covers, stegos, sizes, seed=split_seed)
+    dataset = make_splits(covers, stegos, data.sizes, seed=split_seed)
     manifest = {
         "domain": domain,
-        "lm_order": lm_order,
-        "alpha": alpha,
-        "bpw": bpw,
-        "coding": coding,
+        "lm_order": data.lm_order,
+        "alpha": data.alpha,
+        "bpw": data.bpw,
+        "coding": data.coding,
         "seed": seed,
         "payload_len": [lo, hi],
-        "max_len": max_len,
+        "max_len": data.max_len,
         "vocab_size": vocab.size,
-        "sizes": dict(sizes),
+        "sizes": data.sizes,
     }
     return GenerationResult(dataset=dataset, manifest=manifest)
 

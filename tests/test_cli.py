@@ -242,6 +242,23 @@ def test_malformed_vocab_json_reports_error(tmp_path, capsys, payload):
 _GOOD_SPLIT = '{"id": "H0", "split": "train", "role": "cover"}\n'
 
 
+@pytest.mark.parametrize(
+    "key, value", [("bpw", 9), ("coding", "zzz"), ("payload_bits", [40, 4])], ids=["bpw", "coding", "payload_bits"]
+)
+def test_out_of_range_data_knob_reports_error_without_generation(tmp_path, capsys, key, value):
+    """A ``dataset_dirs``-only config generates nothing, yet its generation knobs are checked at load."""
+    directory = tmp_path / "H"
+    directory.mkdir()
+    (directory / "samples.jsonl").write_text('{"id": "H0", "tokens": [4, 5], "label": "cover", "domain": "H"}\n')
+    (directory / "splits.jsonl").write_text(_GOOD_SPLIT)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"dataset_dirs": {"H": str(directory)}, key: value}}))
+    code = main(["gen-data", "-c", str(config), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: data.{key} ") and "Traceback" not in err
+
+
 def test_non_id_tokens_in_dataset_dirs_report_error(tmp_path, capsys):
     """A ``tokens`` list holding a float stops ``pretrain`` with the record's line, before any encoding."""
     for tag, tokens in (("H", [4, 5.5]), ("O", [4, 5])):
@@ -279,3 +296,50 @@ def test_malformed_split_records_report_error(tmp_path, capsys, samples, splits,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+def _dataset_dirs_config(tmp_path, tiny_config_dict):
+    """Two ``dataset_dirs`` (H, O) of the tiny data with a shared ``vocab.json``, and a config reading them."""
+    from stegadapt.config import config_from_dict
+    from stegadapt.corpus import dataset_to_jsonl
+    from stegadapt.experiment import prepare_data
+
+    data = prepare_data(config_from_dict(tiny_config_dict))
+    dirs = {}
+    for tag, ds in zip(("H", "O"), (data.datasets["S"], data.datasets["F"])):
+        directory = tmp_path / tag
+        dataset_to_jsonl(ds, directory / "samples.jsonl", directory / "splits.jsonl")
+        (directory / "vocab.json").write_text(data.vocab.to_json() + "\n")
+        dirs[tag] = str(directory)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_config_dict, "data": {"dataset_dirs": dirs}}))
+    return config
+
+
+@pytest.mark.parametrize("reader", ["samples", "splits", "vocab", "features", "corpus"])
+def test_reader_error_names_its_file(tmp_path, capsys, tiny_config_dict, reader):
+    """Of several input files, the error names the bad one, and the line where a reader knows it."""
+    if reader in ("samples", "splits", "vocab"):
+        config = _dataset_dirs_config(tmp_path, tiny_config_dict)
+        bad = tmp_path / "O" / f"{reader}.{'json' if reader == 'vocab' else 'jsonl'}"
+        lines = bad.read_text().splitlines(keepends=True)
+        broken = {"samples": "{not json\n", "splits": '{"id": "F-cover-00000"}\n', "vocab": '{"tokens": ['}[reader]
+        bad.write_text(broken if reader == "vocab" else lines[0] + broken + "".join(lines[1:]))
+        named = "line 1: " if reader == "vocab" else "line 2: "
+    elif reader == "features":
+        bad = tmp_path / "features.jsonl"
+        bad.write_text('{"d_h": 12}\n{"id": "S-cover-00000", "h": [[0.5]]}\n')
+        config = tmp_path / "config.json"
+        encoder = {**tiny_config_dict["encoder"], "features_path": str(bad)}
+        config.write_text(json.dumps({**tiny_config_dict, "encoder": encoder}))
+        named = "line 2: "
+    else:
+        bad = tmp_path / "sea.txt"
+        bad.write_bytes(b"the tide held the rope .\nthe \xff mast .\n")
+        domains = {**tiny_config_dict["data"]["domains"], "S": str(bad)}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**tiny_config_dict, "data": {**tiny_config_dict["data"], "domains": domains}}))
+        named = "not valid UTF-8"
+    assert _run(config, tmp_path / "out", "gen-data") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and named in err and "Traceback" not in err

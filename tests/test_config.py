@@ -126,6 +126,12 @@ def test_value_of_the_wrong_type_rejected(section, key, value):
         ("data", "payload_bits", [], "data.payload_bits"),
         ("data", "payload_bits", [8], "data.payload_bits"),
         ("data", "payload_bits", [2, 6, 8], "data.payload_bits"),
+        ("data", "payload_bits", [0, 4], "data.payload_bits"),
+        ("data", "payload_bits", [9, 4], "data.payload_bits"),
+        ("data", "payload_bits", [4, 11], "data.payload_bits"),  # above data.max_len = 10
+        ("data", "bpw", 0, "data.bpw"),
+        ("data", "bpw", 6, "data.bpw"),
+        ("data", "coding", "zzz", "data.coding"),
     ],
 )
 def test_out_of_range_value_rejected_at_load(section, key, value, field):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import json
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,31 @@ def test_prepare_data_cache_roundtrip(tiny_cfg, tmp_path):
     again = prepare_data(tiny_cfg, tmp_path)
     assert first.datasets == again.datasets
     assert first.vocab.id_to_token == again.vocab.id_to_token
+
+
+# Recorded from the generator before ``build_domain_dataset`` read a ``DataConfig``;
+# the per-domain seed is derived from ``data.seed`` and the domain's index.
+_TINY_MANIFESTS = {
+    tag: {
+        "alpha": 0.5,
+        "bpw": 1,
+        "coding": "flc",
+        "domain": tag,
+        "lm_order": 1,
+        "max_len": 24,
+        "payload_len": [4, 10],
+        "seed": seed,
+        "sizes": {"test": 4, "train": 12, "val": 4},
+        "vocab_size": 40,
+    }
+    for tag, seed in (("F", 1237591376), ("S", 3722816075))
+}
+
+
+def test_cold_prepare_data_writes_pinned_manifests(tiny_cfg, tmp_path):
+    prepare_data(tiny_cfg, tmp_path)
+    written = {path.parent.name: path.read_text() for path in tmp_path.glob("data/*/*/manifest.json")}
+    assert written == {tag: json.dumps(m, sort_keys=True, indent=2) + "\n" for tag, m in _TINY_MANIFESTS.items()}
 
 
 def test_cold_prepare_data_tokenizes_each_corpus_line_once(tiny_cfg, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stegadapt.corpus import BOS, EOS, PAD, build_vocab
 from stegadapt.errors import DesyncError
 from stegadapt.stegogen import (
+    DataConfig,
     MarkovLM,
     build_domain_dataset,
     embed_flc,
@@ -210,10 +211,11 @@ def harbor_texts():
 )
 def test_build_domain_dataset_matches_pinned_digest(harbor_texts, coding, order, alpha, digest):
     texts, vocab = harbor_texts
-    result = build_domain_dataset(
-        texts, domain="H", sizes={"train": 40, "val": 10, "test": 10}, bpw=3, coding=coding, seed=7,
-        vocab=vocab, lm_order=order, alpha=alpha, max_len=32, payload_bits=(4, 24),
+    data = DataConfig(
+        domains={"H": str(HARBOR)}, train=40, val=10, test=10, bpw=3, coding=coding,
+        lm_order=order, alpha=alpha, max_len=32, payload_bits=(4, 24),
     )
+    result = build_domain_dataset(texts, "H", data, 7, vocab)
     assert dataset_digest(result.dataset) == digest
 
 
@@ -455,10 +457,11 @@ def two_corpora(tmp_path_factory):
 def test_build_domain_dataset_counts_and_labels(two_corpora):
     sea, _ = two_corpora
     texts = tokenize_corpus(sea)
-    result = build_domain_dataset(
-        texts, domain="S", sizes={"train": 20, "val": 5, "test": 5}, bpw=2, coding="flc",
-        seed=0, vocab=build_vocab(texts, min_freq=1), lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
+    data = DataConfig(
+        domains={"S": str(sea)}, train=20, val=5, test=5, bpw=2, coding="flc",
+        lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
     )
+    result = build_domain_dataset(texts, "S", data, 0, build_vocab(texts, min_freq=1))
     ds = result.dataset
     assert ds.n_train == 40
     assert all(s.label == 0 for s in ds.train_cover)
@@ -470,13 +473,13 @@ def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
     from stegadapt.corpus import dataset_to_jsonl
 
     sea, _ = two_corpora
-    kwargs = dict(
-        domain="S", sizes={"train": 10, "val": 2, "test": 2}, bpw=1, coding="vlc",
-        seed=3, vocab=build_vocab(tokenize_corpus(sea), min_freq=1), lm_order=1, alpha=0.5, max_len=32,
-        payload_bits=(4, 12),
+    data = DataConfig(
+        domains={"S": str(sea)}, train=10, val=2, test=2, bpw=1, coding="vlc",
+        lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
     )
-    a = build_domain_dataset(tokenize_corpus(sea), **kwargs)
-    b = build_domain_dataset(tokenize_corpus(sea), **kwargs)
+    vocab = build_vocab(tokenize_corpus(sea), min_freq=1)
+    a = build_domain_dataset(tokenize_corpus(sea), "S", data, 3, vocab)
+    b = build_domain_dataset(tokenize_corpus(sea), "S", data, 3, vocab)
     assert a.dataset == b.dataset
     for name, result in (("a", a), ("b", b)):
         dataset_to_jsonl(result.dataset, tmp_path / f"{name}.jsonl", tmp_path / f"{name}_splits.jsonl")
@@ -486,16 +489,13 @@ def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
 
 def test_two_domains_have_distinct_unigram_distributions(two_corpora):
     sea, farm = two_corpora
-    shared_sizes = {"train": 20, "val": 5, "test": 5}
+    data = DataConfig(
+        domains={"S": str(sea), "F": str(farm)}, train=20, val=5, test=5, bpw=1, coding="flc",
+        lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
+    )
     texts = [tokenize_corpus(path) for path in (sea, farm)]
     vocabs = [build_vocab(t, min_freq=1) for t in texts]
-    results = [
-        build_domain_dataset(
-            t, domain=dom, sizes=shared_sizes, bpw=1, coding="flc", seed=1, vocab=vocab,
-            lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
-        )
-        for t, vocab, dom in zip(texts, vocabs, ("S", "F"))
-    ]
+    results = [build_domain_dataset(t, dom, data, 1, vocab) for t, vocab, dom in zip(texts, vocabs, ("S", "F"))]
 
     def unigram(ds, vocab_size):
         counts = np.zeros(vocab_size)
@@ -507,13 +507,3 @@ def test_two_domains_have_distinct_unigram_distributions(two_corpora):
     size = max(v.size for v in vocabs)
     tv = 0.5 * np.abs(unigram(results[0].dataset, size) - unigram(results[1].dataset, size)).sum()
     assert tv > 0
-
-
-def test_build_domain_dataset_rejects_oversized_payload(two_corpora):
-    sea, _ = two_corpora
-    texts = tokenize_corpus(sea)
-    with pytest.raises(ValueError, match="max_len"):
-        build_domain_dataset(
-            texts, domain="S", sizes={"train": 2, "val": 1, "test": 1}, bpw=1, coding="flc",
-            seed=0, vocab=build_vocab(texts, min_freq=1), max_len=16, payload_bits=(4, 40),
-        )
