@@ -38,7 +38,7 @@ from .corpus import (
     strip_labels,
     tokenize,
 )
-from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, load_precomputed, make_encoder
+from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, load_precomputed
 from .errors import (
     CapacityError,
     CheckpointError,

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .corpus import COVER, STEGO, TextSample
-from .encoder import STAGE_FINETUNE, STAGE_PRETRAIN
 from .head import AdamState, adam_step, backward_batch, batch_loss_ce
 from .metrics import Metrics, compute_metrics
 from .model import Classifier, predicted_labels
@@ -96,7 +95,7 @@ def schedule_sizes(expansion: float, n_target: int, rounds: int) -> tuple[int, .
     return tuple(sizes)
 
 
-def estimate_pseudo_labels(model: Classifier, samples: Sequence[TextSample], batch_size: int = 256) -> PseudoPool:
+def estimate_pseudo_labels(model: Classifier, samples: Sequence[TextSample], batch_size: int) -> PseudoPool:
     """Argmax prediction and its probability for every sample, in input order."""
     probs = model.predict(samples, batch_size=batch_size)
     labels = predicted_labels(probs)
@@ -151,14 +150,14 @@ def select_balanced(pool: PseudoPool, m: int) -> tuple[PseudoLabel, ...]:
 def _train_one_epoch(
     model: Classifier,
     pairs: Sequence[tuple[TextSample, int]],
-    stage: str,
+    train_encoder: bool,
     cfg: TrainConfig,
     optimizer: AdamState,
     shuffle_rng: np.random.Generator,
     dropout_rng: np.random.Generator,
 ) -> float:
     order = shuffle_rng.permutation(len(pairs))
-    trainable = model.trainable_tensors(stage)
+    trainable = model.trainable_tensors(train_encoder)
     losses = []
     for start in range(0, len(order), cfg.batch_size):
         batch = [pairs[i] for i in order[start : start + cfg.batch_size]]
@@ -175,7 +174,7 @@ def _train_one_epoch(
     return float(np.mean(losses)) if losses else 0.0
 
 
-def evaluate_model(model: Classifier, samples: Sequence[TextSample], batch_size: int = 256) -> Metrics:
+def evaluate_model(model: Classifier, samples: Sequence[TextSample], batch_size: int) -> Metrics:
     labels = [s.label for s in samples]
     if any(l is None for l in labels):
         raise ValueError("evaluation samples must be labeled")
@@ -196,30 +195,30 @@ def _train_stage(
     model: Classifier,
     val_samples: Sequence[TextSample],
     cfg: TrainConfig,
-    stage: str,
-    stream: int,
     rounds: Callable[[Classifier], Iterable[tuple[list, dict]]],
-    start_competes: bool,
+    pretraining: bool,
 ) -> TrainResult:
     """Train a clone of ``model`` one epoch per round and keep the best-val-ACC checkpoint.
 
     ``rounds(work)`` yields each round's training pairs and log fields; it may
-    read ``work``, the clone, as trained through the round before. Round
-    ``i`` (from 1) shuffles and drops out from the seed streams ``(cfg.seed,
-    stream, i)`` and ``(cfg.seed, stream + 1, i)``. Ties keep the earliest
-    round; with ``start_competes`` the starting checkpoint is round 0.
+    read ``work``, the clone, as trained through the round before. Ties keep
+    the earliest round. ``pretraining`` alone decides the rest: only then does
+    a builtin encoder's table train; round ``i`` (from 1) shuffles and drops
+    out from the seed streams ``(cfg.seed, s, i)`` and ``(cfg.seed, s + 1, i)``
+    with ``s`` 11, or 21 in finetuning, where the start competes as round 0.
     """
+    stream = 11 if pretraining else 21
     work = model.clone()
     best = work.clone()
     best_acc = best_index = None
-    if start_competes:
+    if not pretraining:
         best_acc, best_index = evaluate_model(work, val_samples, cfg.eval_batch_size).acc, 0
     optimizer = AdamState()
     log: list[dict] = []
     for index, (pairs, fields) in enumerate(rounds(work), start=1):
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream, index]))
         dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream + 1, index]))
-        train_loss = _train_one_epoch(work, pairs, stage, cfg, optimizer, shuffle_rng, dropout_rng)
+        train_loss = _train_one_epoch(work, pairs, pretraining, cfg, optimizer, shuffle_rng, dropout_rng)
         val = evaluate_model(work, val_samples, cfg.eval_batch_size)
         log.append({**fields, "train_loss": train_loss, "val_acc": val.acc, "val_f1": val.f1})
         if best_acc is None or val.acc > best_acc:
@@ -242,7 +241,7 @@ def pretrain(
     if not pairs:
         raise ValueError("source training data is empty")
     epochs = lambda work: ((pairs, {"epoch": epoch}) for epoch in range(1, cfg.pretrain_epochs + 1))
-    return _train_stage(model, val_samples, cfg, STAGE_PRETRAIN, 11, epochs, start_competes=False)
+    return _train_stage(model, val_samples, cfg, epochs, pretraining=True)
 
 
 def finetune(
@@ -290,4 +289,4 @@ def finetune(
             }
             yield [(samples_by_id[e.sample_id], e.label) for e in selected], fields
 
-    return _train_stage(model, target_val, cfg, STAGE_FINETUNE, 21, pseudo_rounds, start_competes=True)
+    return _train_stage(model, target_val, cfg, pseudo_rounds, pretraining=False)

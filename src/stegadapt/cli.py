@@ -84,6 +84,11 @@ def _task(cfg: ExperimentConfig, args) -> tuple[TaskData, TaskSpec]:
     return data, spec
 
 
+def _score(value: float | None) -> str:
+    """A best validation score, or ``n/a`` when no round or epoch ran."""
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
     data = prepare_data(cfg, args.out_dir)
     for tag in sorted(data.datasets):
@@ -98,7 +103,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
     data, spec = _task(cfg, args)
     for seed in _seeds(cfg, args):
         result = pretrain_stage(cfg, data, spec, seed, args.out_dir)
-        print(f"seed {seed}: best source-val ACC {result.best_val_score:.4f} at epoch {result.best_index}")
+        print(f"seed {seed}: best source-val ACC {_score(result.best_val_score)} at epoch {result.best_index}")
     return 0
 
 
@@ -108,8 +113,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
         ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, "pretrain")
         model, _ = load_checkpoint(ckpt, store=data.store)
         result = adapt_stage(cfg, data, spec, seed, model, args.out_dir)
-        best = "n/a" if result.best_val_score is None else f"{result.best_val_score:.4f}"
-        print(f"seed {seed}: best target-val ACC {best} at round {result.best_index}")
+        print(f"seed {seed}: best target-val ACC {_score(result.best_val_score)} at round {result.best_index}")
     return 0
 
 
@@ -152,7 +156,7 @@ def cmd_export_features(cfg: ExperimentConfig, args) -> int:
     domain = args.domain or spec.target
     samples = getattr(data.domain(domain), args.split)
     out = args.out or results_path(args.out_dir, f"projection_{domain}_{args.split}.csv")
-    export_projection(model, samples, out)
+    export_projection(model, samples, out, cfg.train.eval_batch_size)
     print(f"wrote {out} ({len(samples)} points)")
     return 0
 

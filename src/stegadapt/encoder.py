@@ -1,11 +1,11 @@
 """Domain-common contextual features, frozen with respect to adaptation.
 
-Two encoders satisfy the same contract, and the kind alone says when each is
-trained: ``builtin`` sums a token embedding table with fixed sinusoidal
-position codes and trains the table during source pretraining only, frozen
-afterwards; ``precomputed`` serves per-sample feature matrices loaded from a
-file, standing in for features exported by a large pretrained model, and is
-never trained.
+Two encoders satisfy the same contract: ``builtin`` sums a token embedding
+table with fixed sinusoidal position codes; ``precomputed`` serves per-sample
+feature matrices loaded from a file, standing in for features exported by a
+large pretrained model. Neither decides when it trains:
+``Classifier.trainable_tensors`` adds the builtin table during source
+pretraining only, and a precomputed store is never trained.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ import numpy as np
 
 from .corpus import PAD, UNK, TextSample, read_jsonl, reading
 from .errors import CorpusError, FeatureLookupError, IntegrityError
-
-STAGE_PRETRAIN = "pretrain"
-STAGE_FINETUNE = "finetune"
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -50,11 +46,11 @@ class BuiltinEncoder:
 
     kind = "builtin"
 
-    def __init__(self, config: EncoderConfig, vocab_size: int, table: np.ndarray | None = None):
+    def __init__(self, config: EncoderConfig, vocab_size: int | None, table: np.ndarray | None = None):
         if config.kind != "builtin":
             raise ValueError("config.kind must be 'builtin'")
-        if vocab_size < 5:
-            raise ValueError("vocab_size must cover the reserved ids plus one token")
+        if vocab_size is None or vocab_size < 5:
+            raise ValueError(f"vocab_size must cover the reserved ids plus one token, got {vocab_size}")
         self.config = config
         self.vocab_size = vocab_size
         if table is None:
@@ -96,13 +92,6 @@ class BuiltinEncoder:
         feats[~mask] = 0.0
         return feats, lengths, ids
 
-    # -- training hooks ----------------------------------------------------
-
-    def trainable_tensors(self, stage: str) -> dict[str, np.ndarray]:
-        if stage == STAGE_PRETRAIN:
-            return {"encoder.embedding": self.table}
-        return {}
-
     def gradient_tensors(self, ids: np.ndarray, d_features: np.ndarray, lengths: np.ndarray) -> dict[str, np.ndarray]:
         """Accumulate feature gradients into embedding-row gradients."""
         grad = np.zeros_like(self.table)
@@ -120,9 +109,11 @@ class PrecomputedEncoder:
 
     kind = "precomputed"
 
-    def __init__(self, config: EncoderConfig, store: dict[str, np.ndarray]):
+    def __init__(self, config: EncoderConfig, store: dict[str, np.ndarray] | None):
         if config.kind != "precomputed":
             raise ValueError("config.kind must be 'precomputed'")
+        if store is None:
+            raise ValueError("precomputed encoder needs a feature store")
         self.config = config
         self.store = store
         for sid, matrix in store.items():
@@ -147,9 +138,6 @@ class PrecomputedEncoder:
             feats[row, : m.shape[0]] = m
         ids = np.full((len(samples), width), PAD, dtype=np.int64)
         return feats, lengths, ids
-
-    def trainable_tensors(self, stage: str) -> dict[str, np.ndarray]:
-        return {}
 
     def clone(self) -> "PrecomputedEncoder":
         return PrecomputedEncoder(self.config, self.store)
@@ -189,17 +177,3 @@ def load_precomputed(path: str | Path) -> tuple[dict[str, np.ndarray], int | Non
                 raise CorpusError(f"feature rows for {sid!r} hold a non-finite value", line=lineno)
             store[sid] = rows
     return store, d_h
-
-
-def make_encoder(
-    config: EncoderConfig,
-    vocab_size: int | None = None,
-    store: dict[str, np.ndarray] | None = None,
-):
-    if config.kind == "builtin":
-        if vocab_size is None:
-            raise ValueError("builtin encoder needs a vocab_size")
-        return BuiltinEncoder(config, vocab_size)
-    if store is None:
-        raise ValueError("precomputed encoder needs a feature store")
-    return PrecomputedEncoder(config, store)

@@ -179,11 +179,8 @@ def head_config_for(cfg: ExperimentConfig, spec: TaskSpec) -> HeadConfig:
 
 
 def build_model(cfg: ExperimentConfig, data: TaskData, spec: TaskSpec, seed: int) -> Classifier:
-    encoder_cfg = replace(cfg.encoder, seed=seed)
     vocab_size = data.vocab.size if data.vocab is not None else None
-    return Classifier.build(
-        encoder_cfg, head_config_for(cfg, spec), seed=seed, vocab_size=vocab_size, store=data.store
-    )
+    return Classifier.build(cfg.encoder, head_config_for(cfg, spec), seed, vocab_size=vocab_size, store=data.store)
 
 
 def checkpoint_path(
@@ -417,16 +414,19 @@ def write_markdown_summary(
 # ---------------------------------------------------------------------------
 
 
-def export_projection(model: Classifier, samples: Sequence[TextSample], path: str | Path) -> np.ndarray:
+def export_projection(
+    model: Classifier, samples: Sequence[TextSample], path: str | Path, batch_size: int
+) -> np.ndarray:
     """Project pooled gated features onto their top-2 principal components.
 
-    Writes ``id,x,y,label`` rows (label empty for unlabeled samples) and
-    returns the coordinates. Components come from a deterministic
-    eigendecomposition of the feature covariance with a fixed sign rule.
+    ``model`` predicts ``batch_size`` samples at a time. Writes ``id,x,y,label``
+    rows (label empty for unlabeled samples) and returns the coordinates.
+    Components come from a deterministic eigendecomposition of the feature
+    covariance with a fixed sign rule.
     """
     if len(samples) < 3:
         raise ValueError("projection needs at least 3 samples")
-    _, pooled = model.predict(samples, return_pooled=True)
+    _, pooled = model.predict(samples, batch_size, return_pooled=True)
     pooled = pooled.astype(np.float64)
     centered = pooled - pooled.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (centered.shape[0] - 1)

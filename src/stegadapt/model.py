@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TextSample, atomic_open
-from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder, make_encoder
+from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder
 from .errors import CheckpointError
 from .head import HeadConfig, HeadParams, forward_batch, init_params
 
@@ -56,16 +56,19 @@ class Classifier:
     ) -> "Classifier":
         if head_config.d_h != encoder_config.d_h:
             raise ValueError("encoder and head disagree on d_h")
-        encoder = make_encoder(replace(encoder_config, seed=seed), vocab_size=vocab_size, store=store)
+        config = replace(encoder_config, seed=seed)
+        encoder = BuiltinEncoder(config, vocab_size) if config.kind == "builtin" else PrecomputedEncoder(config, store)
         head = init_params(head_config, seed=np.random.SeedSequence([seed, 0x4EAD]))
         return cls(encoder=encoder, head=head)
 
     def clone(self) -> "Classifier":
         return Classifier(encoder=self.encoder.clone(), head=self.head.clone())
 
-    def trainable_tensors(self, stage: str) -> dict[str, np.ndarray]:
-        tensors = dict(self.encoder.trainable_tensors(stage))
-        tensors.update({f"head.{k}": v for k, v in self.head.tensors.items()})
+    def trainable_tensors(self, train_encoder: bool) -> dict[str, np.ndarray]:
+        """The head's tensors, plus the builtin embedding table when ``train_encoder``."""
+        tensors = {f"head.{k}": v for k, v in self.head.tensors.items()}
+        if train_encoder and isinstance(self.encoder, BuiltinEncoder):
+            tensors["encoder.embedding"] = self.encoder.table
         return tensors
 
     def compute_head(self) -> HeadParams:
@@ -84,9 +87,7 @@ class Classifier:
         trace = forward_batch(feats, lengths, head, mode=mode, dropout_rng=dropout_rng)
         return trace, ids
 
-    def predict(
-        self, samples: Sequence[TextSample], batch_size: int = 256, return_pooled: bool = False
-    ):
+    def predict(self, samples: Sequence[TextSample], batch_size: int, return_pooled: bool = False):
         """Eval-mode class probabilities (float64) for many samples, in input order.
 
         With ``return_pooled`` the pooled features come back too, in the

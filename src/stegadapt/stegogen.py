@@ -16,6 +16,7 @@ import bisect
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -347,6 +348,14 @@ class DataConfig:
             raise ValueError(f"data.{exc}") from None
         if not 1 <= self.payload_bits[0] <= self.payload_bits[1] <= self.max_len:
             raise ValueError(f"data.payload_bits must be 1 <= lo <= hi <= data.max_len, got {list(self.payload_bits)}")
+        for name in ("lm_order", "min_freq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"data.{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"data.alpha must be finite and >= 0, got {self.alpha}")
+        for name, size in self.sizes.items():
+            if size < 0:
+                raise ValueError(f"data.{name} must be >= 0, got {size}")
 
     @property
     def sizes(self) -> dict[str, int]:

@@ -194,9 +194,9 @@ def test_criterion_07_desk_scale_adaptation_benchmark():
         model = build_model(cfg, data, spec, seed)
         train_cfg = replace(cfg.train, seed=seed)
         pre = pretrain(model, data.datasets["H"].train, data.datasets["H"].val, train_cfg)
-        wpl = evaluate_model(pre.model, target.test)
+        wpl = evaluate_model(pre.model, target.test, cfg.train.eval_batch_size)
         adapted = finetune(pre.model, strip_labels(target.train), target.val, train_cfg)
-        full = evaluate_model(adapted.model, target.test)
+        full = evaluate_model(adapted.model, target.test, cfg.train.eval_batch_size)
         wpl_accs.append(wpl.acc)
         full_accs.append(full.acc)
         print(

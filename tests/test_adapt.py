@@ -96,9 +96,9 @@ def _toy_model(seed=0):
 def test_estimate_pseudo_labels_totality_and_argmax():
     model = _toy_model()
     samples = strip_labels(_toy_samples(9))
-    pool = estimate_pseudo_labels(model, samples)
+    pool = estimate_pseudo_labels(model, samples, 256)
     assert len(pool) == 9
-    probs = model.predict(samples)
+    probs = model.predict(samples, 256)
     for entry, p in zip(pool.entries, probs):
         assert entry.confidence == pytest.approx(p.max())
         assert 0.5 <= entry.confidence <= 1.0
@@ -109,7 +109,7 @@ def test_estimate_pseudo_labels_tie_goes_to_cover():
     model = _toy_model()
     model.head.tensors["cls.w"][:] = 0.0
     model.head.tensors["cls.b"][:] = 0.0
-    pool = estimate_pseudo_labels(model, strip_labels(_toy_samples(3)))
+    pool = estimate_pseudo_labels(model, strip_labels(_toy_samples(3)), 256)
     assert all(e.label == 0 and e.confidence == 0.5 for e in pool.entries)
 
 
@@ -229,7 +229,7 @@ def test_pretrain_separable_toy_reaches_perfect_validation():
     result = pretrain(model, train, val, _toy_cfg())
     assert max(rec["val_acc"] for rec in result.log) == 1.0
     assert result.best_val_score == 1.0
-    assert evaluate_model(result.model, val).acc == 1.0
+    assert evaluate_model(result.model, val, 256).acc == 1.0
 
 
 def test_pretrain_zero_epochs_returns_initial_params():
@@ -281,7 +281,7 @@ def test_pretrain_keeps_float64_master_weights_and_moments(monkeypatch, tmp_path
     monkeypatch.setattr(adapt_module, "adam_step", step)
     result = pretrain(_toy_model(), _toy_samples(16), _toy_samples(8), _toy_cfg(pretrain_epochs=1))
     model = result.model
-    masters = model.trainable_tensors("pretrain")
+    masters = model.trainable_tensors(True)
     assert all(tensor.dtype == np.float64 for tensor in masters.values())
     expected = {name: np.float64 if name == "encoder.embedding" else np.float32 for name in masters}
     assert [grad_dtypes for grad_dtypes, _ in seen] == [expected, expected]
@@ -290,12 +290,12 @@ def test_pretrain_keeps_float64_master_weights_and_moments(monkeypatch, tmp_path
     assert all(moment.dtype == np.float64 for moments in (state.m, state.v) for moment in moments.values())
 
     samples = _toy_samples(9, seed=3)
-    probs = model.predict(samples)
+    probs = model.predict(samples, 256)
     assert probs.dtype == np.float64
     save_checkpoint(tmp_path / "ckpt.npz", model)
     restored, _ = load_checkpoint(tmp_path / "ckpt.npz")
-    assert all(tensor.dtype == np.float64 for tensor in restored.trainable_tensors("pretrain").values())
-    assert restored.predict(samples).tobytes() == probs.tobytes()
+    assert all(tensor.dtype == np.float64 for tensor in restored.trainable_tensors(True).values())
+    assert restored.predict(samples, 256).tobytes() == probs.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +344,13 @@ def test_finetune_reports_globally_best_round():
     start = pretrain(_toy_model(), _toy_samples(24), _toy_samples(8), _toy_cfg(pretrain_epochs=3)).model
     result = finetune(start, strip_labels(_toy_samples(20, seed=5)), val, _toy_cfg())
     assert result.best_val_score >= max(rec["val_acc"] for rec in result.log)
-    assert evaluate_model(result.model, val).acc == result.best_val_score
+    assert evaluate_model(result.model, val, 256).acc == result.best_val_score
 
 
 def test_finetune_initial_checkpoint_competes_by_default():
     val = _toy_samples(8, seed=6)
     start = pretrain(_toy_model(), _toy_samples(24), _toy_samples(8), _toy_cfg(pretrain_epochs=3)).model
-    start_val = evaluate_model(start, val).acc
+    start_val = evaluate_model(start, val, 256).acc
     result = finetune(start, strip_labels(_toy_samples(20, seed=5)), val, _toy_cfg())
     assert result.best_val_score >= start_val
     if result.best_index == 0:
@@ -376,7 +376,7 @@ def test_finetune_reestimates_pseudo_labels_every_round(monkeypatch):
     events = []
     real_estimate, real_train = adapt_module.estimate_pseudo_labels, adapt_module._train_one_epoch
 
-    def estimate(model, samples, batch_size=256):
+    def estimate(model, samples, batch_size):
         events.append(("estimate", model.clone()))
         return real_estimate(model, samples, batch_size)
 

@@ -18,6 +18,16 @@ def _run(config_path, out_dir, *argv):
     return main([*argv, "-c", str(config_path), "--out-dir", str(out_dir)])
 
 
+TASK = ("--source", "S", "--target", "F", "--seed", "0")
+
+
+def _with_train(tmp_path, tiny_config_dict, **train):
+    """The tiny config with ``train`` keys overridden, written to a file."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_config_dict, "train": {**tiny_config_dict["train"], **train}}))
+    return config
+
+
 def test_gen_data_writes_cache(workspace, capsys):
     tmp, config = workspace
     assert _run(config, tmp / "out", "gen-data") == 0
@@ -97,6 +107,31 @@ def test_export_features_writes_projection(workspace):
     lines = proj.read_text().splitlines()
     assert lines[0] == "id,x,y,label"
     assert len(lines) == 9  # 4 cover + 4 stego
+
+
+def test_export_features_predicts_in_eval_batch_size(tmp_path, monkeypatch, tiny_config_dict):
+    """Eight validation samples at ``train.eval_batch_size`` 3 go through the model as 3 + 3 + 2."""
+    from stegadapt.model import Classifier
+
+    config = _with_train(tmp_path, tiny_config_dict, eval_batch_size=3)
+    out = tmp_path / "out"
+    assert _run(config, out, "pretrain", *TASK) == 0
+    batches = []
+    real_forward = Classifier.forward_samples
+
+    def forward(self, samples, *args, **kwargs):
+        batches.append(len(samples))
+        return real_forward(self, samples, *args, **kwargs)
+
+    monkeypatch.setattr(Classifier, "forward_samples", forward)
+    assert _run(config, out, "export-features", *TASK, "--split", "val") == 0
+    assert batches == [3, 3, 2]
+
+
+def test_pretrain_with_zero_epochs_reports_no_score(tmp_path, capsys, tiny_config_dict):
+    config = _with_train(tmp_path, tiny_config_dict, pretrain_epochs=0)
+    assert _run(config, tmp_path / "out", "pretrain", *TASK) == 0
+    assert "seed 0: best source-val ACC n/a at epoch None" in capsys.readouterr().out
 
 
 def test_missing_config_reports_error(tmp_path, capsys):
@@ -243,7 +278,9 @@ _GOOD_SPLIT = '{"id": "H0", "split": "train", "role": "cover"}\n'
 
 
 @pytest.mark.parametrize(
-    "key, value", [("bpw", 9), ("coding", "zzz"), ("payload_bits", [40, 4])], ids=["bpw", "coding", "payload_bits"]
+    "key, value",
+    [("bpw", 9), ("coding", "zzz"), ("payload_bits", [40, 4]), ("lm_order", 0), ("alpha", float("nan")), ("train", -3)],
+    ids=["bpw", "coding", "payload_bits", "lm_order", "alpha", "train"],
 )
 def test_out_of_range_data_knob_reports_error_without_generation(tmp_path, capsys, key, value):
     """A ``dataset_dirs``-only config generates nothing, yet its generation knobs are checked at load."""
@@ -343,3 +380,53 @@ def test_reader_error_names_its_file(tmp_path, capsys, tiny_config_dict, reader)
     assert _run(config, tmp_path / "out", "gen-data") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and named in err and "Traceback" not in err
+
+
+def test_precomputed_encoder_cli_chain(tmp_path, monkeypatch, tiny_config_dict):
+    """pretrain, adapt, evaluate and export-features on a feature store.
+
+    No checkpoint holds an embedding table, training leaves the loaded store's
+    arrays as written, and a rerun writes byte-identical result files and logs.
+    """
+    import numpy as np
+
+    import stegadapt.experiment as experiment
+    from feature_store import save_precomputed
+    from stegadapt.config import config_from_dict
+
+    d_h = tiny_config_dict["encoder"]["d_h"]
+    rng = np.random.default_rng(0)
+    store = {}
+    for ds in experiment.prepare_data(config_from_dict(tiny_config_dict)).datasets.values():
+        for sample in ds.train + ds.val + ds.test:
+            store[sample.id] = rng.normal(0.5 if sample.label == 1 else -0.5, 0.3, size=(len(sample.tokens), d_h))
+    features = tmp_path / "features.jsonl"
+    save_precomputed(store, d_h, features)
+    config = tmp_path / "config.json"
+    encoder = {"kind": "precomputed", "d_h": d_h, "features_path": str(features)}
+    config.write_text(json.dumps({**tiny_config_dict, "encoder": encoder}))
+
+    loaded = []
+    real_load = experiment.load_precomputed
+
+    def load(path):
+        result = real_load(path)
+        loaded.append(result[0])
+        return result
+
+    monkeypatch.setattr(experiment, "load_precomputed", load)
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        for command in ("pretrain", "adapt", "evaluate", "export-features"):
+            assert _run(config, out, command, *TASK) == 0
+        run_dir = out / "runs" / "S__F" / "none" / "seed0"
+        for stage in ("pretrain", "adapted"):
+            with np.load(run_dir / f"{stage}.npz") as archive:
+                assert "encoder.embedding" not in archive.files
+        files = sorted((out / "results").iterdir()) + sorted(run_dir.glob("*.jsonl"))
+        outputs.append({path.relative_to(out): path.read_bytes() for path in files})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+    assert len(loaded) == 8
+    for seen in loaded:
+        assert seen.keys() == store.keys() and all(np.array_equal(seen[sid], store[sid]) for sid in store)

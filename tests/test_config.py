@@ -132,6 +132,14 @@ def test_value_of_the_wrong_type_rejected(section, key, value):
         ("data", "bpw", 0, "data.bpw"),
         ("data", "bpw", 6, "data.bpw"),
         ("data", "coding", "zzz", "data.coding"),
+        ("data", "lm_order", 0, "data.lm_order"),
+        ("data", "alpha", -0.5, "data.alpha"),
+        ("data", "alpha", float("nan"), "data.alpha"),
+        ("data", "alpha", float("inf"), "data.alpha"),
+        ("data", "min_freq", 0, "data.min_freq"),
+        ("data", "train", -1, "data.train"),
+        ("data", "val", -1, "data.val"),
+        ("data", "test", -1, "data.test"),
     ],
 )
 def test_out_of_range_value_rejected_at_load(section, key, value, field):

@@ -9,16 +9,22 @@ from stegadapt.encoder import (
     EncoderConfig,
     PrecomputedEncoder,
     load_precomputed,
-    make_encoder,
     sinusoidal_positions,
 )
 from stegadapt.errors import CorpusError, FeatureLookupError, IntegrityError
+from stegadapt.head import HeadConfig
+from stegadapt.model import Classifier
 from feature_store import save_precomputed
 from oracles import encode_single, encoder_checksum
 
 
 def _sample(tokens, sid="s0"):
     return TextSample(id=sid, tokens=tokens, label=None, domain="M")
+
+
+def _classifier(kind="builtin", seed=0, **sources):
+    """A d_h = 8 model whose encoder ``Classifier.build`` makes from ``vocab_size`` or ``store``."""
+    return Classifier.build(EncoderConfig(kind=kind, d_h=8), HeadConfig(d_h=8, hidden=4), seed=seed, **sources)
 
 
 def _features(enc, tokens):
@@ -91,14 +97,15 @@ def test_builtin_batch_matches_single_encoding():
 
 
 def test_builtin_trainable_only_during_pretrain():
-    enc = BuiltinEncoder(EncoderConfig(d_h=8), vocab_size=10)
-    assert "encoder.embedding" in enc.trainable_tensors("pretrain")
-    assert enc.trainable_tensors("finetune") == {}
+    model = _classifier(vocab_size=10)
+    assert model.trainable_tensors(True)["encoder.embedding"] is model.encoder.table
+    assert "encoder.embedding" not in model.trainable_tensors(False)
 
 
 def test_precomputed_never_trainable():
-    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8), {"a": np.zeros((2, 8))})
-    assert enc.trainable_tensors("pretrain") == {} and enc.trainable_tensors("finetune") == {}
+    model = _classifier("precomputed", store={"a": np.zeros((2, 8))})
+    head = {f"head.{name}" for name in model.head.tensors}
+    assert model.trainable_tensors(True).keys() == model.trainable_tensors(False).keys() == head
 
 
 def test_builtin_gradient_accumulates_per_token_rows():
@@ -169,10 +176,12 @@ def test_precomputed_empty_file_then_lookup_error(tmp_path):
         enc.encode(_sample((4,), "missing"))
 
 
-def test_make_encoder_dispatch():
-    builtin = make_encoder(EncoderConfig(d_h=8), vocab_size=10)
-    assert isinstance(builtin, BuiltinEncoder)
-    pre = make_encoder(EncoderConfig(kind="precomputed", d_h=8), store={})
-    assert isinstance(pre, PrecomputedEncoder)
-    with pytest.raises(ValueError):
-        make_encoder(EncoderConfig(d_h=8))
+def test_build_dispatches_on_encoder_kind():
+    builtin = _classifier(seed=3, vocab_size=10).encoder
+    assert isinstance(builtin, BuiltinEncoder) and builtin.config.seed == 3
+    pre = _classifier("precomputed", seed=3, store={}).encoder
+    assert isinstance(pre, PrecomputedEncoder) and pre.config.seed == 3
+    with pytest.raises(ValueError, match="vocab_size"):
+        _classifier()
+    with pytest.raises(ValueError, match="feature store"):
+        _classifier("precomputed")

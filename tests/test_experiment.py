@@ -271,13 +271,13 @@ def _id_samples(n, label=None):
 def test_projection_rejects_too_few_samples(tmp_path):
     model = _projection_model()
     with pytest.raises(ValueError):
-        export_projection(model, _id_samples(2), tmp_path / "p.csv")
+        export_projection(model, _id_samples(2), tmp_path / "p.csv", 256)
 
 
 def test_projection_identical_features_land_at_origin(tmp_path):
     model = _projection_model()
     samples = [TextSample(id=f"p{i}", tokens=(4,), label=None, domain="M") for i in range(5)]
-    coords = export_projection(model, samples, tmp_path / "p.csv")
+    coords = export_projection(model, samples, tmp_path / "p.csv", 256)
     np.testing.assert_allclose(coords, 0.0, atol=1e-12)
     lines = (tmp_path / "p.csv").read_text().splitlines()
     assert lines[0] == "id,x,y,label"
@@ -286,7 +286,7 @@ def test_projection_identical_features_land_at_origin(tmp_path):
 
 def test_projection_is_computed_in_double_precision(tmp_path):
     # predict returns float32 pooled features; the PCA runs on a float64 copy.
-    coords = export_projection(_projection_model(), _id_samples(6), tmp_path / "p.csv")
+    coords = export_projection(_projection_model(), _id_samples(6), tmp_path / "p.csv", 256)
     assert coords.dtype == np.float64
 
 
@@ -294,7 +294,7 @@ def test_projection_separates_two_clusters(tmp_path, monkeypatch):
     model = _projection_model()
     samples = _id_samples(8)
 
-    def fake_predict(samples, batch_size=256, return_pooled=False):
+    def fake_predict(samples, batch_size, return_pooled=False):
         n = len(samples)
         pooled = np.zeros((n, 6))
         pooled[: n // 2, 0] = 1.0
@@ -302,7 +302,7 @@ def test_projection_separates_two_clusters(tmp_path, monkeypatch):
         return np.full((n, 2), 0.5), pooled
 
     monkeypatch.setattr(model, "predict", fake_predict)
-    coords = export_projection(model, samples, tmp_path / "p.csv")
+    coords = export_projection(model, samples, tmp_path / "p.csv", 256)
     first, second = coords[:4, 0], coords[4:, 0]
     assert np.all(np.sign(first) == np.sign(first[0]))
     assert np.all(np.sign(second) == -np.sign(first[0]))
@@ -314,9 +314,9 @@ def test_projection_beats_random_2d_projections(tmp_path, monkeypatch):
     model = _projection_model(d_h=5)
     samples = _id_samples(40)
     monkeypatch.setattr(
-        model, "predict", lambda s, batch_size=256, return_pooled=False: (np.full((40, 2), 0.5), feats)
+        model, "predict", lambda s, batch_size, return_pooled=False: (np.full((40, 2), 0.5), feats)
     )
-    coords = export_projection(model, samples, tmp_path / "p.csv")
+    coords = export_projection(model, samples, tmp_path / "p.csv", 256)
     pca_var = coords.var(axis=0, ddof=1).sum()
     centered = feats - feats.mean(axis=0)
     for trial in range(100):
@@ -328,7 +328,7 @@ def test_projection_beats_random_2d_projections(tmp_path, monkeypatch):
 def test_evaluate_model_smoke(tiny_cfg, tiny_data):
     spec = TaskSpec(source="S", target="F", ablation="w-PL")
     outcome = run_seed(tiny_cfg, tiny_data, spec, seed=0)
-    metrics = evaluate_model(outcome.final_model, tiny_data.datasets["F"].val)
+    metrics = evaluate_model(outcome.final_model, tiny_data.datasets["F"].val, tiny_cfg.train.eval_batch_size)
     assert metrics.n == 8
 
 
@@ -393,7 +393,7 @@ def _write_markdown(out_dir, acc):
 
 
 def _write_projection(out_dir, acc):
-    export_projection(_projection_model(seed=int(acc * 100)), _id_samples(5), out_dir / "p.csv")
+    export_projection(_projection_model(seed=int(acc * 100)), _id_samples(5), out_dir / "p.csv", 256)
     return out_dir / "p.csv"
 
 

@@ -61,8 +61,8 @@ def test_clone_is_independent():
 
 def test_trainable_tensors_respect_stage():
     model = _model()
-    pretrain = model.trainable_tensors("pretrain")
-    finetune = model.trainable_tensors("finetune")
+    pretrain = model.trainable_tensors(True)
+    finetune = model.trainable_tensors(False)
     assert "encoder.embedding" in pretrain
     assert "encoder.embedding" not in finetune
     assert any(k.startswith("head.") for k in finetune)
@@ -71,11 +71,11 @@ def test_trainable_tensors_respect_stage():
 def test_checkpoint_roundtrip_restores_bit_identical_outputs(tmp_path):
     model = _model(seed=4)
     samples = _samples(9, seed=1)
-    before = model.predict(samples)
+    before = model.predict(samples, 256)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model, extra={"stage": "pretrain", "val_acc": 0.75})
     restored, meta = load_checkpoint(path)
-    after = restored.predict(samples)
+    after = restored.predict(samples, 256)
     assert before.tobytes() == after.tobytes()
     assert models_equal(model, restored)
     assert meta["extra"]["stage"] == "pretrain"
