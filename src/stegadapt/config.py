@@ -102,6 +102,10 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     encoder_kwargs = _section(raw, "encoder")
     features_path = encoder_kwargs.pop("features_path", None)
     encoder = EncoderConfig(**encoder_kwargs)
+    if encoder.kind == "precomputed" and features_path is None:
+        raise ValueError("encoder.kind 'precomputed' needs encoder.features_path")
+    if encoder.kind == "builtin" and features_path is not None:
+        raise ValueError("encoder.features_path is only read when encoder.kind is 'precomputed', got 'builtin'")
     head = HeadConfig(d_h=encoder.d_h, **_section(raw, "head"))
     expansion = _section(raw, "schedule").get("p", TrainConfig.expansion)
     train = TrainConfig(**_section(raw, "train"), expansion=expansion)

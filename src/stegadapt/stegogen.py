@@ -4,9 +4,11 @@ The language model is an order-k token chain with additive smoothing, built
 once by :func:`fit_lm` from transition counts and immutable afterwards. Covers
 are ancestral samples. At each stego step one code maps the top-2^k next-token
 candidates (k <= bpw) to bits: fixed-length big-endian indices (FLC) or a
-Huffman code over the pool (VLC). Embedding emits the candidate whose code the
-payload spells; extraction rebuilds that code and reads the token's bits back,
-so embedding needs no randomness while bits remain and round-trips are exact.
+Huffman code over the pool (VLC). A step's code depends only on the context,
+bpw, the coding and (FLC) the bits left, so each LM builds it once and keeps it
+in its step-code table. Embedding emits the candidate whose code the payload
+spells; extraction looks up the same code and reads the token's bits back, so
+embedding needs no randomness while bits remain and round-trips are exact.
 :class:`DataConfig` holds and checks every knob :func:`build_domain_dataset` reads.
 """
 
@@ -39,6 +41,15 @@ class _CtxStats:
     ranked: tuple[int, ...]  # observed ids except EOS, by count desc, then id asc
 
 
+@dataclass(frozen=True)
+class _StepCode:
+    """One step's code: ``{token: code}`` for extraction, its inverse for embedding, and whether it degraded."""
+
+    codes: dict[int, tuple[int, ...]]
+    by_code: dict[tuple[int, ...], int]
+    degraded: bool
+
+
 class MarkovLM:
     """Order-k conditional next-token distribution with additive smoothing.
 
@@ -47,7 +58,10 @@ class MarkovLM:
     candidate pools. With ``alpha == 0`` only observed continuations have
     positive probability. It is built once, by :func:`fit_lm`, from ``counts``
     (context -> next id -> count), and is immutable: neither ``counts`` nor
-    the per-context tables derived from them change afterwards.
+    the per-context tables derived from them change afterwards. The
+    step-code table ``_step_codes`` is derived state too: it is filled by
+    :func:`_step_code` as contexts are visited, so it grows with them, and
+    none of its entries can go stale.
     """
 
     def __init__(self, order: int, alpha: float, vocab: Vocab, counts: dict[tuple[int, ...], dict[int, int]]):
@@ -65,6 +79,7 @@ class MarkovLM:
             ranked = tuple(t for t in sorted(bucket, key=lambda t: (-bucket[t], t)) if t != EOS)
             cum = list(itertools.accumulate(float(bucket[i]) for i in ids))
             self._ctx[ctx] = _CtxStats(ids=ids, cum=cum, ranked=ranked)
+        self._step_codes: dict[tuple, _StepCode] = {}
         support = [i for i in range(vocab.size) if i not in (PAD, BOS)]
         self.support = np.array(support, dtype=np.int64)
         self._support_no_eos = tuple(i for i in support if i != EOS)
@@ -202,25 +217,34 @@ _FLC_CODES = tuple(
 )
 
 
-def _step_code(
-    lm: MarkovLM, history: Sequence[int], bpw: int, coding: str, bits_left: int
-) -> tuple[dict[int, tuple[int, ...]], bool]:
-    """``({token: code}, degraded)`` for the top ``2^k`` candidates, k = min(bpw, floor(log2 #cands)).
+def _step_code(lm: MarkovLM, history: Sequence[int], bpw: int, coding: str, bits_left: int) -> _StepCode:
+    """The code of the top ``2^k`` candidates, k = min(bpw, floor(log2 #cands)), from ``lm``'s table.
 
     FLC codes the ``i``-th candidate as big-endian ``i`` in ``min(k, bits_left)``
     bits; VLC codes each by Huffman over its renormalized LM probability.
-    ``degraded`` marks steps with fewer than ``2^bpw`` candidates.
+    ``degraded`` marks steps with fewer than ``2^bpw`` candidates. The code
+    depends only on the context, ``bpw``, the coding and, for FLC,
+    ``min(bpw, bits_left)``; it is built on the first visit and then read
+    from the table. A context with no candidates raises ``ValueError`` on
+    every visit and stores nothing.
     """
+    key = (lm._context_key(history), bpw, coding, min(bpw, bits_left) if coding == "flc" else 0)
+    step = lm._step_codes.get(key)
+    if step is not None:
+        return step
     cands = lm.ranked_candidates(history, 1 << bpw)
     if not cands:
         raise ValueError("no embedding candidates in this context")
     k = min(bpw, len(cands).bit_length() - 1)
-    degraded = len(cands) < (1 << bpw)
     if coding == "flc":
-        return dict(zip(cands, _FLC_CODES[min(k, bits_left)])), degraded
-    pool = cands[: 1 << k]
-    probs = lm.step_probs(history, pool)
-    return huffman_codebook(pool, probs / probs.sum()), degraded
+        codes = dict(zip(cands, _FLC_CODES[min(k, bits_left)]))
+    else:
+        pool = cands[: 1 << k]
+        probs = lm.step_probs(history, pool)
+        codes = huffman_codebook(pool, probs / probs.sum())
+    step = _StepCode(codes, {code: tok for tok, code in codes.items()}, len(cands) < (1 << bpw))
+    lm._step_codes[key] = step
+    return step
 
 
 def _embed(lm: MarkovLM, payload: Sequence[int], bpw: int, coding: str, max_len: int, seed) -> StegoResult:
@@ -231,15 +255,14 @@ def _embed(lm: MarkovLM, payload: Sequence[int], bpw: int, coding: str, max_len:
     tokens: list[int] = []
     pos = steps = degraded = 0
     while len(tokens) < max_len and pos < len(payload):
-        codes, was_degraded = _step_code(lm, tokens, bpw, coding, len(payload) - pos)
-        by_code = {code: tok for tok, code in codes.items()}
+        step = _step_code(lm, tokens, bpw, coding, len(payload) - pos)
         prefix: tuple[int, ...] = ()
-        while prefix not in by_code:
+        while prefix not in step.by_code:
             prefix += (payload[pos] if pos < len(payload) else 0,)  # past the payload: 0, VLC only
             pos = min(pos + 1, len(payload))
-        tokens.append(by_code[prefix])
+        tokens.append(step.by_code[prefix])
         steps += 1
-        degraded += was_degraded
+        degraded += step.degraded
     return StegoResult(_sample(lm, tokens, max_len, np.random.default_rng(seed)), pos, steps, degraded)
 
 
@@ -283,7 +306,7 @@ def extract_bits(
         if len(out) >= n_bits:
             break
         tok = int(tok)
-        codes, _ = _step_code(lm, history, bpw, coding, n_bits - len(out))
+        codes = _step_code(lm, history, bpw, coding, n_bits - len(out)).codes
         if tok not in codes:
             raise DesyncError(f"token {tok} not in the reconstructed pool", step=step)
         out.extend(codes[tok])

@@ -157,6 +157,8 @@ def test_unknown_config_key_reports_error(tmp_path, capsys):
         ({"data": {"domains": {"A": "x"}}, "encoder": {"freeze_policy": "after_pretrain"}}, "'freeze_policy'"),
         ({"data": {"domains": {"A": "x"}}, "schedule": {"p": 0.1, "reestimate": True}}, "'reestimate'"),
         ({"data": {"domains": {"A": "x"}}, "train": {"selection_metric": "acc"}}, "'selection_metric'"),
+        ({"data": {"domains": {"A": "x"}}, "encoder": {"kind": "precomputed"}}, "needs encoder.features_path"),
+        ({"data": {"domains": {"A": "x"}}, "encoder": {"features_path": "f.jsonl"}}, "encoder.features_path is only"),
     ],
 )
 def test_mistyped_config_reports_error(tmp_path, capsys, raw, named):
@@ -191,7 +193,7 @@ def test_malformed_feature_store_reports_error(tmp_path, capsys, tiny_config_dic
     features = tmp_path / "features.jsonl"
     features.write_text('{"d_h": 12}\n{"id": "S-cover-00000", "h": 5}\n')
     config = tmp_path / "config.json"
-    encoder = {**tiny_config_dict["encoder"], "features_path": str(features)}
+    encoder = {**tiny_config_dict["encoder"], "kind": "precomputed", "features_path": str(features)}
     config.write_text(json.dumps({**tiny_config_dict, "encoder": encoder}))
     assert _run(config, tmp_path / "out", "gen-data") == 1
     err = capsys.readouterr().err
@@ -367,7 +369,7 @@ def test_reader_error_names_its_file(tmp_path, capsys, tiny_config_dict, reader)
         bad = tmp_path / "features.jsonl"
         bad.write_text('{"d_h": 12}\n{"id": "S-cover-00000", "h": [[0.5]]}\n')
         config = tmp_path / "config.json"
-        encoder = {**tiny_config_dict["encoder"], "features_path": str(bad)}
+        encoder = {**tiny_config_dict["encoder"], "kind": "precomputed", "features_path": str(bad)}
         config.write_text(json.dumps({**tiny_config_dict, "encoder": encoder}))
         named = "line 2: "
     else:

@@ -148,6 +148,20 @@ def test_out_of_range_value_rejected_at_load(section, key, value, field):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "encoder, message",
+    [
+        ({"kind": "precomputed", "d_h": 8}, "encoder.kind 'precomputed' needs encoder.features_path"),
+        ({"kind": "builtin", "d_h": 8, "features_path": "f.jsonl"}, "encoder.features_path is only read when"),
+        ({"d_h": 8, "features_path": "f.jsonl"}, "encoder.features_path is only read when"),
+    ],
+    ids=["precomputed-without-store", "builtin-with-store", "default-kind-with-store"],
+)
+def test_encoder_kind_and_features_path_must_agree(encoder, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        config_from_dict({**EVERY_KEY, "encoder": encoder})
+
+
 def test_section_that_is_not_an_object_rejected():
     for value in (3, "data", [], None):
         with pytest.raises(ValueError, match="config section 'head' must be an object"):

@@ -135,8 +135,8 @@ def test_prepare_data_checks_feature_store_width_on_warm_cache(tiny_config_dict,
 
     features_path = tmp_path / "features.jsonl"
     save_precomputed({"s0": np.zeros((2, 8))}, d_h=8, path=features_path)
-    raw = {**tiny_config_dict, "encoder": {**tiny_config_dict["encoder"], "features_path": str(features_path)}}
-    cfg = config_from_dict(raw)
+    encoder = {**tiny_config_dict["encoder"], "kind": "precomputed", "features_path": str(features_path)}
+    cfg = config_from_dict({**tiny_config_dict, "encoder": encoder})
     assert cfg.encoder.d_h != 8
     for _ in ("cold", "warm"):
         with pytest.raises(CorpusError, match="feature store width 8"):

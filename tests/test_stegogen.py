@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from stegadapt.corpus import BOS, EOS, PAD, build_vocab
 from stegadapt.errors import DesyncError
 from stegadapt.stegogen import (
+    CODINGS,
     DataConfig,
     MarkovLM,
+    _step_code,
     build_domain_dataset,
     embed_flc,
     embed_vlc,
@@ -21,6 +23,7 @@ from stegadapt.stegogen import (
     sample_cover,
     tokenize_corpus,
 )
+import codec_digest
 from codec_digest import codec_digests, fit_harbor_lm
 from dataset_digest import dataset_digest
 from oracles import (
@@ -228,7 +231,20 @@ _PINNED_CODEC_DIGESTS = {
 
 
 def test_codec_round_trips_match_pinned_digest_at_every_bpw():
-    assert codec_digests(fit_harbor_lm()) == _PINNED_CODEC_DIGESTS
+    lm = fit_harbor_lm()
+    assert codec_digests(lm) == _PINNED_CODEC_DIGESTS
+    assert codec_digests(lm) == _PINNED_CODEC_DIGESTS  # the second pass reads the step codes the first built
+
+
+@pytest.mark.parametrize("second, status", [("b", 0), ("c", 1)], ids=["same", "differs"])
+def test_codec_digest_tool_checks_the_warm_pass(monkeypatch, capsys, second, status):
+    passes = iter([{"flc": "a", "vlc": "b"}, {"flc": "a", "vlc": second}])
+    monkeypatch.setattr(codec_digest, "fit_harbor_lm", lambda: None)
+    monkeypatch.setattr(codec_digest, "codec_digests", lambda lm: next(passes))
+    assert codec_digest.main() == status
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:2] == ["flc a", "vlc b"] and len(out.splitlines()) == 3
+    assert ("warm LM" in err) == bool(status)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +444,89 @@ def test_roundtrip_property_and_pool_membership(roundtrip_lm, bpw, data):
         pool = roundtrip_lm.ranked_candidates(history, 1 << bpw)
         assert tok in pool
         history.append(tok)
+
+
+# ---------------------------------------------------------------------------
+# Step-code table
+# ---------------------------------------------------------------------------
+
+
+def _step_or_error(lm, history, bpw, coding, bits_left):
+    try:
+        return _step_code(lm, history, bpw, coding, bits_left)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("order, alpha", [(1, 0.0), (2, 0.5)])
+def test_warm_step_code_table_matches_a_fresh_lm(letter_texts, order, alpha):
+    warm = _letter_lm(letter_texts, order, alpha)
+    rng = np.random.default_rng(order)
+    texts = []
+    for bpw in range(1, 6):
+        for coding in CODINGS:
+            embed = embed_flc if coding == "flc" else embed_vlc
+            for i in range(8):
+                payload = rng.integers(0, 2, int(rng.integers(1, 40))).tolist()
+                try:
+                    res = embed(warm, payload, bpw, max_len=64, seed=i)
+                except ValueError:  # alpha 0: the walk reached a context with no candidates
+                    continue
+                assert extract_bits(warm, res.tokens, coding, bpw, res.bits_consumed) == payload[: res.bits_consumed]
+                texts.append(res.tokens)
+    fresh = _letter_lm(letter_texts, order, alpha)
+    ids = [int(t) for t in warm.support]
+    hits = 0
+    for _ in range(400):
+        if rng.random() < 0.5:
+            text = texts[int(rng.integers(len(texts)))]
+            history = list(text[: int(rng.integers(0, len(text) + 1))])
+        else:
+            history = rng.choice(ids, size=int(rng.integers(0, 4))).tolist()
+        bpw, coding, bits_left = int(rng.integers(1, 6)), CODINGS[int(rng.integers(2))], int(rng.integers(1, 7))
+        size = len(warm._step_codes)
+        got = _step_or_error(warm, history, bpw, coding, bits_left)
+        hits += len(warm._step_codes) == size and not isinstance(got, str)
+        assert got == _step_or_error(fresh, history, bpw, coding, bits_left)
+    assert hits >= 100
+    for step in warm._step_codes.values():
+        assert step.by_code == {code: tok for tok, code in step.codes.items()}
+        assert len(step.by_code) == len(step.codes)
+
+
+def test_flc_narrowed_and_full_width_codes_of_one_context_stay_apart():
+    vocab = _vocab("pqrs")
+    lm = _ranked_lm(vocab, {"p": 8, "q": 4, "r": 2, "s": 1})
+    p, q, r, s = vocab.encode(["p", "q", "r", "s"])
+    narrow = _step_code(lm, [], 2, "flc", 1)
+    full = _step_code(lm, [], 2, "flc", 2)
+    assert narrow.codes == {p: (0,), q: (1,)} and narrow.by_code == {(0,): p, (1,): q}
+    assert full.codes == {p: (0, 0), q: (0, 1), r: (1, 0), s: (1, 1)}
+    assert _step_code(lm, [], 2, "flc", 1) is narrow
+    assert _step_code(lm, [], 2, "flc", 6) is full  # every bits_left >= bpw codes at full width
+    assert _step_code(lm, [], 2, "vlc", 1) is _step_code(lm, [], 2, "vlc", 6)  # VLC never narrows
+    # Narrowed then full width in the context (r,): one embedding's last step, the next one's second.
+    short = embed_flc(lm, [1, 0, 1], bpw=2, max_len=8, seed=0)
+    long = embed_flc(lm, [1, 0, 1, 1], bpw=2, max_len=8, seed=0)
+    assert short.tokens[:2] == (r, q) and long.tokens[:2] == (r, s)
+    assert extract_bits(lm, short.tokens, "flc", 2, 3) == [1, 0, 1]
+    assert extract_bits(lm, long.tokens, "flc", 2, 4) == [1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("coding", CODINGS)
+def test_context_without_candidates_raises_every_time_and_stores_nothing(coding):
+    vocab = _vocab("pq")
+    p, q = vocab.encode(["p", "q"])
+    lm = _lm_from_counts(vocab, {(BOS,): {p: 2, q: 1}, (p,): {EOS: 1}, (q,): {p: 1}})
+    embed = embed_flc if coding == "flc" else embed_vlc
+    start = _step_code(lm, [], 1, coding, 1)
+    assert start.codes == {p: (0,), q: (1,)}
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no embedding candidates"):
+            _step_code(lm, [p], 1, coding, 1)
+        with pytest.raises(ValueError, match="no embedding candidates"):
+            embed(lm, [0, 0], bpw=1, max_len=8, seed=0)  # bit 0 picks p, whose context has none
+        assert list(lm._step_codes.values()) == [start]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ It fits an order-2, alpha-0.5 Markov LM on ``data/corpora/harbor.txt``, then
 for each coding and each bpw from 1 to 5 embeds a fixed set of random payloads
 (drawn from a fixed seed) and extracts them again. The digest covers every
 stego text's token ids and every extracted bit string, in that order, so two
-commits whose digests agree embed and extract identically. Run from the
-repository root:
+commits whose digests agree embed and extract identically. The round trips
+then run a second time on the same LM, whose step-code table the first pass
+filled; if their digests differ from the first pass's, the tool says so and
+exits 1. Run from the repository root:
 
     PYTHONPATH=src python3 tools/codec_digest.py
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +58,17 @@ def codec_digests(lm) -> dict[str, str]:
     return digests
 
 
-def main() -> None:
-    digests = codec_digests(fit_harbor_lm())
+def main() -> int:
+    lm = fit_harbor_lm()
+    digests = codec_digests(lm)
     for coding, digest in digests.items():
         print(f"{coding} {digest}")
     print(f"all {hashlib.sha256(''.join(digests.values()).encode()).hexdigest()}")
+    if codec_digests(lm) != digests:
+        print("error: the round trips on the warm LM differ from the first pass", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
