@@ -8,12 +8,14 @@ reuse identical data and seeds so comparisons isolate the ablated component.
 
 Each stage (pretrain, adapt, evaluate) is one function that the runners here
 and the CLI share, and this module alone lays out and writes the run
-directories and result files.
+directories and result files, and the data cache: its key, its layout and
+each generated domain's ``manifest.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,7 +31,7 @@ from .errors import CorpusError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
 from .model import Classifier, config_hash, save_checkpoint
-from .stegogen import DataConfig, build_domain_dataset, tokenize_corpus, write_manifest
+from .stegogen import DataConfig, build_domain_dataset, tokenize_corpus
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
 SLB_LAYERS = 2  # Bi-LSTM layers of the stacked-LSTM (w-SLB) variant
@@ -109,9 +111,12 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     ids mean the same thing on both sides of every task; each domain then
     gets its own language model and generated dataset. Generated domains
     come from the cache when it is complete; every other step is the same
-    for a cold and a warm cache. A ``vocab.json`` in any ``dataset_dirs``
-    directory is the shared vocabulary (they must agree), and it encodes
-    every directory's ``text`` records and surface tokens.
+    for a cold and a warm cache. A cold cache gets the vocabulary and, per
+    domain, its samples, splits and a ``manifest.json`` that records the
+    generation spec, the domain seed and the vocabulary size. A
+    ``vocab.json`` in any ``dataset_dirs`` directory is the shared
+    vocabulary (they must agree), and it encodes every directory's ``text``
+    records and surface tokens.
     """
     from .corpus import build_vocab
 
@@ -143,18 +148,28 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
         if vocab is None:
             union = [toks for tag in generated_tags for toks in texts[tag]]
             vocab = build_vocab(union, min_freq=cfg.data.min_freq)
-        manifests = {}
+        seeds = {}
         for index, tag in enumerate(generated_tags):
-            seed = int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
-            result = build_domain_dataset(texts[tag], tag, cfg.data, seed, vocab)
-            datasets[tag] = result.dataset
-            manifests[tag] = result.manifest
+            seeds[tag] = int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
+            datasets[tag] = build_domain_dataset(texts[tag], tag, cfg.data, seeds[tag], vocab)
         if cache_root is not None:
             write_lines([vocab.to_json()], cache_root / "vocab.json")
             for tag in generated_tags:
                 tag_dir = cache_root / tag
                 dataset_to_jsonl(datasets[tag], tag_dir / "samples.jsonl", tag_dir / "splits.jsonl")
-                write_manifest(manifests[tag], tag_dir / "manifest.json")
+                manifest = {
+                    "domain": tag,
+                    "lm_order": cfg.data.lm_order,
+                    "alpha": cfg.data.alpha,
+                    "bpw": cfg.data.bpw,
+                    "coding": cfg.data.coding,
+                    "seed": seeds[tag],
+                    "payload_len": list(cfg.data.payload_bits),
+                    "max_len": cfg.data.max_len,
+                    "vocab_size": vocab.size,
+                    "sizes": cfg.data.sizes,
+                }
+                write_lines([json.dumps(manifest, sort_keys=True, indent=2)], tag_dir / "manifest.json")
             write_lines(["ok"], cache_root / "COMPLETE")
 
     store = None

@@ -9,7 +9,9 @@ bpw, the coding and (FLC) the bits left, so each LM builds it once and keeps it
 in its step-code table. Embedding emits the candidate whose code the payload
 spells; extraction looks up the same code and reads the token's bits back, so
 embedding needs no randomness while bits remain and round-trips are exact.
-:class:`DataConfig` holds and checks every knob :func:`build_domain_dataset` reads.
+:class:`DataConfig` holds and checks every knob :func:`build_domain_dataset` reads,
+and that function returns the generated dataset alone; the data cache, its key
+and each domain's ``manifest.json`` belong to ``experiment.prepare_data``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, TextSample, Vocab, make_splits, reading, tokenize, write_lines
+from .corpus import BOS, EOS, PAD, TextSample, Vocab, make_splits, reading, tokenize
 from .corpus import COVER, STEGO, DomainDataset
 from .errors import DesyncError
 
@@ -323,12 +324,6 @@ def extract_bits(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenerationResult:
-    dataset: DomainDataset
-    manifest: dict
-
-
 def tokenize_corpus(corpus_path: str | Path) -> list[list[str]]:
     """The tokenized nonempty lines of a text corpus, in file order."""
     with reading(corpus_path):
@@ -390,7 +385,7 @@ class DataConfig:
 
 def build_domain_dataset(
     texts: Sequence[Sequence[str]], domain: str, data: DataConfig, seed: int, vocab: Vocab
-) -> GenerationResult:
+) -> DomainDataset:
     """Fit a domain LM on ``vocab``-encoded texts and generate a full cover/stego dataset to the ``data`` spec.
 
     One LM per domain produces the covers and the stego texts for every
@@ -433,21 +428,4 @@ def build_domain_dataset(
         )
 
     split_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
-    dataset = make_splits(covers, stegos, data.sizes, seed=split_seed)
-    manifest = {
-        "domain": domain,
-        "lm_order": data.lm_order,
-        "alpha": data.alpha,
-        "bpw": data.bpw,
-        "coding": data.coding,
-        "seed": seed,
-        "payload_len": [lo, hi],
-        "max_len": data.max_len,
-        "vocab_size": vocab.size,
-        "sizes": data.sizes,
-    }
-    return GenerationResult(dataset=dataset, manifest=manifest)
-
-
-def write_manifest(manifest: Mapping, path: str | Path) -> None:
-    write_lines([json.dumps(dict(manifest), sort_keys=True, indent=2)], path)
+    return make_splits(covers, stegos, data.sizes, seed=split_seed)

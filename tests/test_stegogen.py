@@ -218,8 +218,7 @@ def test_build_domain_dataset_matches_pinned_digest(harbor_texts, coding, order,
         domains={"H": str(HARBOR)}, train=40, val=10, test=10, bpw=3, coding=coding,
         lm_order=order, alpha=alpha, max_len=32, payload_bits=(4, 24),
     )
-    result = build_domain_dataset(texts, "H", data, 7, vocab)
-    assert dataset_digest(result.dataset) == digest
+    assert dataset_digest(build_domain_dataset(texts, "H", data, 7, vocab)) == digest
 
 
 # Taken from the generator before the LM became immutable and the Huffman
@@ -560,12 +559,10 @@ def test_build_domain_dataset_counts_and_labels(two_corpora):
         domains={"S": str(sea)}, train=20, val=5, test=5, bpw=2, coding="flc",
         lm_order=1, alpha=0.5, max_len=32, payload_bits=(4, 12),
     )
-    result = build_domain_dataset(texts, "S", data, 0, build_vocab(texts, min_freq=1))
-    ds = result.dataset
+    ds = build_domain_dataset(texts, "S", data, 0, build_vocab(texts, min_freq=1))
     assert ds.n_train == 40
     assert all(s.label == 0 for s in ds.train_cover)
     assert all(s.label == 1 and s.bpw == 2 for s in ds.train_stego)
-    assert result.manifest["coding"] == "flc" and result.manifest["payload_len"] == [4, 12]
 
 
 def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
@@ -579,9 +576,9 @@ def test_build_domain_dataset_deterministic(two_corpora, tmp_path):
     vocab = build_vocab(tokenize_corpus(sea), min_freq=1)
     a = build_domain_dataset(tokenize_corpus(sea), "S", data, 3, vocab)
     b = build_domain_dataset(tokenize_corpus(sea), "S", data, 3, vocab)
-    assert a.dataset == b.dataset
-    for name, result in (("a", a), ("b", b)):
-        dataset_to_jsonl(result.dataset, tmp_path / f"{name}.jsonl", tmp_path / f"{name}_splits.jsonl")
+    assert a == b
+    for name, dataset in (("a", a), ("b", b)):
+        dataset_to_jsonl(dataset, tmp_path / f"{name}.jsonl", tmp_path / f"{name}_splits.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     assert (tmp_path / "a_splits.jsonl").read_bytes() == (tmp_path / "b_splits.jsonl").read_bytes()
 
@@ -594,7 +591,7 @@ def test_two_domains_have_distinct_unigram_distributions(two_corpora):
     )
     texts = [tokenize_corpus(path) for path in (sea, farm)]
     vocabs = [build_vocab(t, min_freq=1) for t in texts]
-    results = [build_domain_dataset(t, dom, data, 1, vocab) for t, vocab, dom in zip(texts, vocabs, ("S", "F"))]
+    datasets = [build_domain_dataset(t, dom, data, 1, vocab) for t, vocab, dom in zip(texts, vocabs, ("S", "F"))]
 
     def unigram(ds, vocab_size):
         counts = np.zeros(vocab_size)
@@ -604,5 +601,5 @@ def test_two_domains_have_distinct_unigram_distributions(two_corpora):
         return counts / counts.sum()
 
     size = max(v.size for v in vocabs)
-    tv = 0.5 * np.abs(unigram(results[0].dataset, size) - unigram(results[1].dataset, size)).sum()
+    tv = 0.5 * np.abs(unigram(datasets[0], size) - unigram(datasets[1], size)).sum()
     assert tv > 0
