@@ -31,7 +31,7 @@ from .errors import CorpusError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
 from .model import Classifier, config_hash, save_checkpoint
-from .stegogen import DataConfig, build_domain_dataset, tokenize_corpus
+from .stegogen import GENERATION_VERSION, DataConfig, build_domain_dataset, tokenize_corpus
 
 ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
 SLB_LAYERS = 2  # Bi-LSTM layers of the stacked-LSTM (w-SLB) variant
@@ -97,11 +97,11 @@ class TaskResult:
 
 
 def _data_key(data: DataConfig) -> str:
-    """Cache key: the data section plus the SHA-256 of every corpus and ``dataset_dirs`` file it reads."""
+    """Cache key: the data section, ``GENERATION_VERSION`` and the SHA-256 of every corpus and ``dataset_dirs`` file read."""
     paths = [Path(corpus) for corpus in data.domains.values()]
     paths += [path for dirname in data.dataset_dirs.values() for path in Path(dirname).iterdir() if path.is_file()]
     files = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
-    return config_hash({**asdict(data), "file_sha256": files})[:16]
+    return config_hash({**asdict(data), "file_sha256": files, "generation_version": GENERATION_VERSION})[:16]
 
 
 def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> TaskData:
@@ -159,6 +159,7 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
                 dataset_to_jsonl(datasets[tag], tag_dir / "samples.jsonl", tag_dir / "splits.jsonl")
                 manifest = {
                     "domain": tag,
+                    "generation_version": GENERATION_VERSION,
                     "lm_order": cfg.data.lm_order,
                     "alpha": cfg.data.alpha,
                     "bpw": cfg.data.bpw,

@@ -31,6 +31,9 @@ from .corpus import COVER, STEGO, DomainDataset
 from .errors import DesyncError
 
 CODINGS = ("flc", "vlc")
+# The version of the generated data: the data cache's key and each manifest.json
+# hold it, so bump it with any change that alters what generation produces.
+GENERATION_VERSION = 1
 
 
 @dataclass

@@ -71,14 +71,16 @@ def test_prepare_data_cache_roundtrip(tiny_cfg, tmp_path):
     assert first.vocab.id_to_token == again.vocab.id_to_token
 
 
-# Recorded from the generator before ``build_domain_dataset`` read a ``DataConfig``;
-# the per-domain seed is derived from ``data.seed`` and the domain's index.
+# Recorded from the generator before ``build_domain_dataset`` read a ``DataConfig``,
+# with ``generation_version`` added since; the per-domain seed is derived from
+# ``data.seed`` and the domain's index.
 _TINY_MANIFESTS = {
     tag: {
         "alpha": 0.5,
         "bpw": 1,
         "coding": "flc",
         "domain": tag,
+        "generation_version": 1,
         "lm_order": 1,
         "max_len": 24,
         "payload_len": [4, 10],
@@ -94,6 +96,17 @@ def test_cold_prepare_data_writes_pinned_manifests(tiny_cfg, tmp_path):
     prepare_data(tiny_cfg, tmp_path)
     written = {path.parent.name: path.read_text() for path in tmp_path.glob("data/*/*/manifest.json")}
     assert written == {tag: json.dumps(m, sort_keys=True, indent=2) + "\n" for tag, m in _TINY_MANIFESTS.items()}
+
+
+def test_generation_version_keys_the_data_cache(tiny_cfg, tmp_path, monkeypatch):
+    from stegadapt import experiment
+
+    prepare_data(tiny_cfg, tmp_path)
+    monkeypatch.setattr(experiment, "GENERATION_VERSION", 2)
+    prepare_data(tiny_cfg, tmp_path)
+    manifests = [json.loads(path.read_text()) for path in sorted(tmp_path.glob("data/*/S/manifest.json"))]
+    assert len(list(tmp_path.glob("data/*/COMPLETE"))) == 2
+    assert sorted(m["generation_version"] for m in manifests) == [1, 2]
 
 
 def test_cold_prepare_data_tokenizes_each_corpus_line_once(tiny_cfg, tmp_path, monkeypatch):

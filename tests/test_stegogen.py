@@ -11,6 +11,7 @@ from stegadapt.corpus import BOS, EOS, PAD, build_vocab
 from stegadapt.errors import DesyncError
 from stegadapt.stegogen import (
     CODINGS,
+    GENERATION_VERSION,
     DataConfig,
     MarkovLM,
     _step_code,
@@ -190,7 +191,9 @@ def test_ranked_candidates_matches_sort_oracle(letter_texts, order, alpha):
 
 
 # Taken from the generator before its per-context tables became Python lists;
-# a change here is a change of generated data.
+# a change here is a change of generated data. Re-pinning one of these digests
+# means bumping GENERATION_VERSION, and bumping it means re-pinning them.
+_PINNED_GENERATION_VERSION = 1
 _PINNED_DIGESTS = [
     ("flc", 1, 0.0, "13ae8fb26473b41577d989970b1ff314aca7def908c854aed3d4850f61388771"),
     ("flc", 1, 0.5, "fe7a00aac2d23eb547533ac83c723936ed1c833d6130f2370aee75a73eadabc8"),
@@ -201,6 +204,10 @@ _PINNED_DIGESTS = [
     ("vlc", 2, 0.0, "b4d7a7d764b93372713933a857ad18d3fcdf1db6aaea25d967f434f9ec7bca4a"),
     ("vlc", 2, 0.5, "659b554429a30619fb97e35eaee366f69688b72182b7604c2ecf3008ea45042a"),
 ]
+
+
+def test_generation_version_is_pinned_beside_the_digests():
+    assert GENERATION_VERSION == _PINNED_GENERATION_VERSION
 
 
 @pytest.fixture(scope="module")
