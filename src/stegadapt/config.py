@@ -52,11 +52,12 @@ def _defaults(cls, *not_keys: str) -> dict:
 
 # Accepted keys per section and their defaults, from the dataclasses that
 # hold them. Seeds other than the data seed come from the run, the head's
-# input width is the encoder's, and the gate bypass is the w-FF ablation.
+# input width is the encoder's, and the gate bypass and the depth belong to
+# the w-FF and w-SLB ablations.
 _SECTION_DEFAULTS = {
     "data": _defaults(DataConfig),
     "encoder": _defaults(EncoderConfig, "seed") | {"features_path": None},
-    "head": _defaults(HeadConfig, "d_h", "gate_bypass"),
+    "head": _defaults(HeadConfig, "d_h", "gate_bypass", "layers"),
     "train": _defaults(TrainConfig, "seed", "expansion"),
     "schedule": {"p": TrainConfig.expansion},
     "eval": _defaults(EvalConfig),

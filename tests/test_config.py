@@ -32,7 +32,7 @@ EVERY_KEY = {
         "seed": 3,
     },
     "encoder": {"kind": "precomputed", "d_h": 8, "features_path": "f.jsonl"},
-    "head": {"hidden": 4, "layers": 2, "dropout_keep": 0.75},
+    "head": {"hidden": 4, "dropout_keep": 0.75},
     "train": {
         "lr": 0.01,
         "batch_size": 4,
@@ -68,7 +68,7 @@ def test_every_key_maps_to_its_field():
             train=5, val=2, test=3, bpw=2, coding="vlc", payload_bits=(2, 6), seed=3,
         ),
         encoder=EncoderConfig(kind="precomputed", d_h=8),
-        head=HeadConfig(d_h=8, hidden=4, layers=2, dropout_keep=0.75),
+        head=HeadConfig(d_h=8, hidden=4, dropout_keep=0.75),
         train=TrainConfig(
             lr=0.01, batch_size=4, pretrain_epochs=3, finetune_rounds=2, eval_batch_size=32, expansion=0.25,
         ),
