@@ -401,7 +401,8 @@ def write_markdown_summary(
 ) -> None:
     """Variant rows by task columns (ACC and F1), with a trailing average.
 
-    ``results`` maps variant name to {(source, target): TaskResult}.
+    ``results`` maps variant name to {(source, target): TaskResult}, every
+    variant over the same tasks; with no tasks the averages read ``-``.
     """
     tasks = sorted({pair for per_task in results.values() for pair in per_task})
     header = ["Model"]
@@ -413,10 +414,7 @@ def write_markdown_summary(
         cells = [variant]
         accs, f1s = [], []
         for pair in tasks:
-            result = per_task.get(pair)
-            if result is None:
-                cells += ["-", "-"]
-                continue
+            result = per_task[pair]
             cells += [f"{result.mean_acc:.4f}±{result.std_acc:.4f}", f"{result.mean_f1:.4f}±{result.std_f1:.4f}"]
             accs.append(result.mean_acc)
             f1s.append(result.mean_f1)
