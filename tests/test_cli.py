@@ -355,6 +355,16 @@ def _dataset_dirs_config(tmp_path, tiny_config_dict):
     return config
 
 
+def test_dataset_dirs_with_different_vocabularies_report_error(tmp_path, capsys, tiny_config_dict):
+    config = _dataset_dirs_config(tmp_path, tiny_config_dict)
+    vocab_file = tmp_path / "O" / "vocab.json"
+    vocab = json.loads(vocab_file.read_text())
+    vocab_file.write_text(json.dumps({"tokens": vocab["tokens"] + ["lantern"]}) + "\n")
+    assert _run(config, tmp_path / "out", "gen-data") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "disagree on the vocabulary" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("reader", ["samples", "splits", "vocab", "features", "corpus"])
 def test_reader_error_names_its_file(tmp_path, capsys, tiny_config_dict, reader):
     """Of several input files, the error names the bad one, and the line where a reader knows it."""

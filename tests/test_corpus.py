@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -208,13 +209,15 @@ def test_load_corpus_unlabeled_and_vocab_encoding(tmp_path):
         [
             json.dumps({"id": "a", "text": "a b zz", "domain": "M"}),
             json.dumps({"id": "b", "tokens": [4, 5], "label": "stego", "domain": "M", "bpw": 2}),
+            json.dumps({"id": "c", "tokens": ["b", "zz", "a"], "label": "cover", "domain": "M"}),
         ],
     )
     vocab = build_vocab([["a", "b"]], min_freq=1)
-    first, second = load_corpus(path, vocab=vocab)
+    first, second, third = load_corpus(path, vocab=vocab)
     assert first.label is UNLABELED
     assert first.tokens == (vocab.encode(["a"])[0], vocab.encode(["b"])[0], UNK)
     assert second.tokens == (4, 5) and second.bpw == 2
+    assert third.tokens == (vocab.encode(["b"])[0], UNK, vocab.encode(["a"])[0])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -297,6 +300,26 @@ def test_split_manifest_and_jsonl_roundtrip(tmp_path):
     dataset_to_jsonl(ds, tmp_path / "s.jsonl", tmp_path / "m2.jsonl")
     again = dataset_from_jsonl(tmp_path / "s.jsonl", tmp_path / "m2.jsonl")
     assert again == ds
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "c0", "split": "dev", "role": "cover"}, "unknown split/role dev/cover"),
+        ({"id": "c0", "split": "train", "role": "both"}, "unknown split/role train/both"),
+        ({"id": "nobody", "split": "train", "role": "cover"}, "manifest id 'nobody' missing from samples"),
+    ],
+    ids=["unknown-split", "unknown-role", "missing-id"],
+)
+def test_bad_split_record_names_file_and_line(tmp_path, record, message):
+    dataset = make_splits(_pool("c", 3), _pool("s", 3, STEGO, 1), {"train": 1, "val": 1, "test": 1}, seed=0)
+    splits = tmp_path / "splits.jsonl"
+    dataset_to_jsonl(dataset, tmp_path / "samples.jsonl", splits)
+    lines = splits.read_text().splitlines(keepends=True)
+    splits.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[1:]))
+    with pytest.raises(CorpusError, match=re.escape(f"{splits}: line 2: {message}")) as info:
+        dataset_from_jsonl(tmp_path / "samples.jsonl", splits)
+    assert info.value.line == 2
 
 
 def test_non_utf8_samples_line_names_it(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,13 +150,14 @@ def test_precomputed_ragged_rows_are_format_error(tmp_path):
         ['{"d_h": 2}', '{"id": "a", "h": 5}'],
         ['{"d_h": 2}', '{"id": "a", "h": [5]}'],
         ['{"d_h": 2}', '{"id": "a", "h": [[1e400, 0]]}'],
+        ['{"d_h": 2}', '{"id": "a"}'],
     ],
-    ids=["listed-d_h", "number-record", "number-h", "flat-h", "overflowing-value"],
+    ids=["listed-d_h", "number-record", "number-h", "flat-h", "overflowing-value", "no-h"],
 )
 def test_precomputed_malformed_record_is_format_error_naming_its_line(tmp_path, lines):
     path = tmp_path / "feats.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorpusError, match=f"line {len(lines)}"):
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line {len(lines)}: ")):
         load_precomputed(path)
 
 

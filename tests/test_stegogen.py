@@ -422,6 +422,17 @@ def test_extract_desync_on_foreign_tokens(roundtrip_lm, coding):
         extract_bits(roundtrip_lm, bad, coding, 1, 4)
 
 
+@pytest.mark.parametrize("coding", ["flc", "vlc"])
+def test_extract_desync_on_a_text_cut_short(roundtrip_lm, coding):
+    embed = embed_flc if coding == "flc" else embed_vlc
+    payload = np.random.default_rng(3).integers(0, 2, 24).tolist()
+    res = embed(roundtrip_lm, payload, 1, max_len=128, seed=0)
+    cut = res.tokens[: res.embed_steps - 1]
+    with pytest.raises(DesyncError, match="ended after") as info:
+        extract_bits(roundtrip_lm, cut, coding, 1, 24)
+    assert info.value.step == len(cut)
+
+
 def test_extract_wrong_bpw_breaks_checksum(roundtrip_lm):
     rng = np.random.default_rng(5)
     mismatches = 0
