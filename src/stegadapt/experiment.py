@@ -118,6 +118,8 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     vocabulary (they must agree), and it encodes every directory's ``text``
     records and surface tokens.
     """
+    # Looked up at call time: the benchmark's traced mode patches corpus.build_vocab,
+    # and test_benchmark_trace_bindings_exist fails if this import is hoisted.
     from .corpus import build_vocab
 
     datasets: dict[str, DomainDataset] = {}

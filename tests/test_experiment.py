@@ -157,10 +157,27 @@ def test_prepare_data_checks_feature_store_width_on_warm_cache(tiny_config_dict,
     assert list((tmp_path / "cache" / "data").glob("*/COMPLETE"))
 
 
-def test_benchmark_trace_bindings_exist():
-    """The benchmark's traced mode wraps package functions by name; each must still exist."""
+# Every span name the benchmark's traced mode reports, from the names its
+# wrappers record.
+_BENCHMARK_SPANS = (
+    "corpus.tokenize", "corpus.build_vocab", "corpus.make_splits", "corpus.dataset_to_jsonl",
+    "corpus.dataset_from_jsonl", "stegogen.build_domain_dataset", "stegogen.fit_lm", "stegogen.sample_cover",
+    "stegogen.embed", "stegogen.extract_bits", "stegogen.huffman_codebook", "encoder.encode_batch",
+    "encoder.gradient_tensors", "head.forward_batch.train", "head.forward_batch.eval", "head.backward_batch",
+    "head.adam_step", "model.predict", "model.clone", "adapt.pretrain", "adapt.finetune",
+    "adapt.estimate_pseudo_labels", "adapt.select_candidates", "adapt.evaluate_model",
+)
+
+
+def test_benchmark_trace_bindings_exist(tiny_cfg, tmp_path):
+    """The benchmark's traced mode wraps package functions by name; each must exist and still be called.
+
+    A span that never fires means the package stopped calling the patched
+    binding, say because a call-time lookup was hoisted to an import.
+    """
     import importlib.util
     import pathlib
+    from dataclasses import replace
     from types import SimpleNamespace
 
     from stegadapt import adapt, corpus, encoder, experiment, model, stegogen
@@ -175,10 +192,23 @@ def test_benchmark_trace_bindings_exist():
     try:
         tracing.instrument(tracer, sa)
         patched = list(tracer._patches)
+        tracer.enabled = True
+        experiment.prepare_data(tiny_cfg, tmp_path)
+        data = experiment.prepare_data(tiny_cfg, tmp_path)
+        source, target = data.task(TaskSpec(source="S", target="F"))
+        net = experiment.build_model(tiny_cfg, data, TaskSpec(source="S", target="F"), 0)
+        pre = adapt.pretrain(net, source.train, source.val, replace(tiny_cfg.train, pretrain_epochs=1, seed=0))
+        ft_cfg = replace(tiny_cfg.train, finetune_rounds=1, seed=0)
+        adapt.finetune(pre.model, corpus.strip_labels(target.train), target.val, ft_cfg)
+        lm = stegogen.fit_lm([data.vocab.encode(t) for t in stegogen.tokenize_corpus(tiny_cfg.data.domains["S"])],
+                             data.vocab)
+        stego = stegogen.embed_vlc(lm, [1, 0, 1, 1, 0, 0, 1, 0], 2, 24, 0)
+        assert stegogen.extract_bits(lm, stego.tokens, "vlc", 2, stego.bits_consumed) == [1, 0, 1, 1, 0, 0, 1, 0]
     finally:
         tracer.restore()
     assert patched
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+    assert [name for name in _BENCHMARK_SPANS if not tracer.calls.get(name)] == []
 
 
 def test_run_seed_wpl_skips_finetune(tiny_cfg, tiny_data):
