@@ -97,7 +97,7 @@ class TaskResult:
 
 
 def _data_key(data: DataConfig) -> str:
-    """Cache key: the data section, ``GENERATION_VERSION`` and the SHA-256 of every corpus and ``dataset_dirs`` file read."""
+    """Cache key: the data section, ``GENERATION_VERSION`` and the SHA-256 of every file the section reads."""
     paths = [Path(corpus) for corpus in data.domains.values()]
     paths += [path for dirname in data.dataset_dirs.values() for path in Path(dirname).iterdir() if path.is_file()]
     files = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
@@ -160,13 +160,13 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
                 tag_dir = cache_root / tag
                 dataset_to_jsonl(datasets[tag], tag_dir / "samples.jsonl", tag_dir / "splits.jsonl")
                 manifest = {
-                    "domain": tag,
                     "generation_version": GENERATION_VERSION,
+                    "domain": tag,
+                    "seed": seeds[tag],
                     "lm_order": cfg.data.lm_order,
                     "alpha": cfg.data.alpha,
                     "bpw": cfg.data.bpw,
                     "coding": cfg.data.coding,
-                    "seed": seeds[tag],
                     "payload_len": list(cfg.data.payload_bits),
                     "max_len": cfg.data.max_len,
                     "vocab_size": vocab.size,
