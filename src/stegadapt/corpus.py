@@ -32,6 +32,8 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
 _LABEL_NAMES = {COVER: "cover", STEGO: "stego"}
 _NAME_LABELS = {"cover": COVER, "stego": STEGO}
+# json.dumps(rec, sort_keys=True) is this encoder's encode, without a new encoder per record.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @contextmanager
@@ -64,7 +66,7 @@ def write_lines(lines: Iterable[str], path: str | Path) -> None:
 
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
     """Write one sorted-key JSON object per line, atomically."""
-    write_lines((json.dumps(rec, sort_keys=True) for rec in records), path)
+    write_lines(map(_JSONL_ENCODER.encode, records), path)
 
 
 @contextmanager
@@ -119,7 +121,7 @@ class TextSample:
             raise ValueError(f"sample {self.id!r}: label must be 0, 1, or None")
         if (self.bpw is not None) != (self.label == STEGO):
             raise ValueError(f"sample {self.id!r}: bpw must be present iff label is stego")
-        if self.bpw is not None and (not isinstance(self.bpw, int) or not 1 <= self.bpw <= 5):
+        if self.bpw is not None and (type(self.bpw) is not int or not 1 <= self.bpw <= 5):  # a bool is not a bpw
             raise ValueError(f"sample {self.id!r}: bpw must be an integer in 1..5")
 
 
@@ -131,6 +133,9 @@ def tokenize(text: str) -> list[str]:
     """
     out: list[str] = []
     for chunk in text.lower().split():
+        if chunk.isalnum():  # isalnum characters are letters or numbers, never punctuation (category P*)
+            out.append(chunk)
+            continue
         word: list[str] = []
         for ch in chunk:
             if unicodedata.category(ch).startswith("P"):

@@ -9,6 +9,8 @@ bpw, the coding and (FLC) the bits left, so each LM builds it once and keeps it
 in its step-code table. Embedding emits the candidate whose code the payload
 spells; extraction looks up the same code and reads the token's bits back, so
 embedding needs no randomness while bits remain and round-trips are exact.
+Every walk (sampling, embedding, extraction) carries its context key, the last
+``order`` ids padded with BOS, and rolls it one token at a time.
 :class:`DataConfig` holds and checks every knob :func:`build_domain_dataset` reads,
 and that function returns the generated dataset alone; the data cache, its key
 and each domain's ``manifest.json`` belong to ``experiment.prepare_data``.
@@ -62,7 +64,9 @@ class MarkovLM:
     candidate pools. With ``alpha == 0`` only observed continuations have
     positive probability. It is built once, by :func:`fit_lm`, from ``counts``
     (context -> next id -> count), and is immutable: neither ``counts`` nor
-    the per-context tables derived from them change afterwards. The
+    the per-context tables derived from them, nor the smoothing mass
+    ``alpha * len(support)``, change afterwards. A context is keyed by
+    :meth:`_context_key`: the last ``order`` ids, padded with BOS. The
     step-code table ``_step_codes`` is derived state too: it is filled by
     :func:`_step_code` as contexts are visited, so it grows with them, and
     none of its entries can go stale.
@@ -87,6 +91,7 @@ class MarkovLM:
         support = [i for i in range(vocab.size) if i not in (PAD, BOS)]
         self.support = np.array(support, dtype=np.int64)
         self._support_no_eos = tuple(i for i in support if i != EOS)
+        self._smoothing = self.alpha * len(self.support)
 
     def _context_key(self, history: Sequence[int]) -> tuple[int, ...]:
         tail = tuple(map(int, history[-self.order :]))
@@ -115,14 +120,15 @@ class MarkovLM:
         key = self._context_key(history)
         stats = self._ctx.get(key)
         total = stats.cum[-1] if stats else 0
-        denom = total + self.alpha * len(self.support)
+        denom = total + self._smoothing
         bucket = self.counts.get(key, {})
         return np.array([(bucket.get(int(i), 0) + self.alpha) / denom for i in ids])
 
-    def sample_next(self, history: Sequence[int], rng: np.random.Generator) -> int:
-        stats = self._ctx.get(self._context_key(history))
+    def sample_next(self, key: tuple[int, ...], rng: np.random.Generator) -> int:
+        """One draw from the next-token distribution of the context ``key``, on one ``rng.random()`` variate."""
+        stats = self._ctx.get(key)
         total = stats.cum[-1] if stats else 0
-        weight = total + self.alpha * len(self.support)
+        weight = total + self._smoothing
         if weight <= 0:
             raise ValueError("context has no continuations and alpha is 0")
         u = rng.random() * weight
@@ -135,11 +141,12 @@ class MarkovLM:
 def fit_lm(sequences: Iterable[Sequence[int]], vocab: Vocab, order: int = 2, alpha: float = 0.5) -> MarkovLM:
     """The LM of the (context, next) transition counts over id sequences, BOS padded, EOS terminated."""
     counts: dict[tuple[int, ...], dict[int, int]] = {}
+    size = vocab.size
     for seq in sequences:
         ctx = (BOS,) * order
         for tok in tuple(seq) + (EOS,):
             tok = int(tok)
-            if tok in (PAD, BOS) or not 0 <= tok < vocab.size:
+            if tok in (PAD, BOS) or not 0 <= tok < size:
                 raise ValueError(f"token id {tok} outside the generatable vocabulary")
             bucket = counts.setdefault(ctx, {})
             bucket[tok] = bucket.get(tok, 0) + 1
@@ -150,11 +157,13 @@ def fit_lm(sequences: Iterable[Sequence[int]], vocab: Vocab, order: int = 2, alp
 
 
 def _sample(lm: MarkovLM, tokens: list[int], max_len: int, rng: np.random.Generator) -> tuple[int, ...]:
+    key = lm._context_key(tokens)
     while len(tokens) < max_len:
-        tok = lm.sample_next(tokens, rng)
+        tok = lm.sample_next(key, rng)
         if tok == EOS:
             break
         tokens.append(tok)
+        key = key[1:] + (tok,)
     return tuple(tokens)
 
 
@@ -221,8 +230,8 @@ _FLC_CODES = tuple(
 )
 
 
-def _step_code(lm: MarkovLM, history: Sequence[int], bpw: int, coding: str, bits_left: int) -> _StepCode:
-    """The code of the top ``2^k`` candidates, k = min(bpw, floor(log2 #cands)), from ``lm``'s table.
+def _step_code(lm: MarkovLM, key: tuple[int, ...], bpw: int, coding: str, bits_left: int) -> _StepCode:
+    """The code of the top ``2^k`` candidates after ``key``, k = min(bpw, floor(log2 #cands)), from ``lm``'s table.
 
     FLC codes the ``i``-th candidate as big-endian ``i`` in ``min(k, bits_left)``
     bits; VLC codes each by Huffman over its renormalized LM probability.
@@ -230,13 +239,14 @@ def _step_code(lm: MarkovLM, history: Sequence[int], bpw: int, coding: str, bits
     depends only on the context, ``bpw``, the coding and, for FLC,
     ``min(bpw, bits_left)``; it is built on the first visit and then read
     from the table. A context with no candidates raises ``ValueError`` on
-    every visit and stores nothing.
+    every visit and stores nothing. ``key`` is a :meth:`MarkovLM._context_key`.
     """
-    key = (lm._context_key(history), bpw, coding, min(bpw, bits_left) if coding == "flc" else 0)
-    step = lm._step_codes.get(key)
+    entry = (key, bpw, coding, min(bpw, bits_left) if coding == "flc" else 0)
+    step = lm._step_codes.get(entry)
     if step is not None:
         return step
-    cands = lm.ranked_candidates(history, 1 << bpw)
+    # A key is its own context (lm._context_key(key) == key), so it stands in for a history.
+    cands = lm.ranked_candidates(key, 1 << bpw)
     if not cands:
         raise ValueError("no embedding candidates in this context")
     k = min(bpw, len(cands).bit_length() - 1)
@@ -244,10 +254,10 @@ def _step_code(lm: MarkovLM, history: Sequence[int], bpw: int, coding: str, bits
         codes = dict(zip(cands, _FLC_CODES[min(k, bits_left)]))
     else:
         pool = cands[: 1 << k]
-        probs = lm.step_probs(history, pool)
+        probs = lm.step_probs(key, pool)
         codes = huffman_codebook(pool, probs / probs.sum())
     step = _StepCode(codes, {code: tok for tok, code in codes.items()}, len(cands) < (1 << bpw))
-    lm._step_codes[key] = step
+    lm._step_codes[entry] = step
     return step
 
 
@@ -257,14 +267,17 @@ def _embed(lm: MarkovLM, payload: Sequence[int], bpw: int, coding: str, max_len:
     if any(b not in (0, 1) for b in payload):
         raise ValueError("payload must be 0/1 bits")
     tokens: list[int] = []
+    key = lm._context_key(())
     pos = steps = degraded = 0
     while len(tokens) < max_len and pos < len(payload):
-        step = _step_code(lm, tokens, bpw, coding, len(payload) - pos)
+        step = _step_code(lm, key, bpw, coding, len(payload) - pos)
         prefix: tuple[int, ...] = ()
         while prefix not in step.by_code:
             prefix += (payload[pos] if pos < len(payload) else 0,)  # past the payload: 0, VLC only
             pos = min(pos + 1, len(payload))
-        tokens.append(step.by_code[prefix])
+        tok = step.by_code[prefix]
+        tokens.append(tok)
+        key = key[1:] + (tok,)
         steps += 1
         degraded += step.degraded
     return StegoResult(_sample(lm, tokens, max_len, np.random.default_rng(seed)), pos, steps, degraded)
@@ -305,16 +318,16 @@ def extract_bits(
     if n_bits < 0:
         raise ValueError("payload length must be >= 0")
     out: list[int] = []
-    history: list[int] = []
+    key = lm._context_key(())
     for step, tok in enumerate(tokens):
         if len(out) >= n_bits:
             break
         tok = int(tok)
-        codes = _step_code(lm, history, bpw, coding, n_bits - len(out)).codes
+        codes = _step_code(lm, key, bpw, coding, n_bits - len(out)).codes
         if tok not in codes:
             raise DesyncError(f"token {tok} not in the reconstructed pool", step=step)
         out.extend(codes[tok])
-        history.append(tok)
+        key = key[1:] + (tok,)
     if len(out) < n_bits:
         raise DesyncError(
             f"stego text ended after {len(out)} of {n_bits} bits", step=len(tuple(tokens))

@@ -5,13 +5,15 @@ length is computed from the complete list of full-binary-tree depth profiles,
 gradients are checked by central finite differences on the public loss, and
 model equality, encoder checksums, single-sample features, the per-sample
 loss and the full next-token distribution are computed from public tensors
-and ``step_probs``, and the LM's sampling and candidate ranking are
-recomputed from its raw ``counts`` by an inverse CDF and a full sort.
+and ``step_probs``, the LM's sampling and candidate ranking are
+recomputed from its raw ``counts`` by an inverse CDF and a full sort, and
+tokenization is redone one character at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import unicodedata
 
 import numpy as np
 
@@ -167,3 +169,25 @@ def sorted_candidates(lm, history, n: int) -> list[int]:
     if lm.alpha > 0:
         ranked += [t for t in range(lm.vocab.size) if t not in counts and t not in (PAD, BOS, EOS)]
     return ranked[:n]
+
+
+def tokenize_by_char(text: str) -> list[str]:
+    """Lowercase, split on whitespace, and emit each punctuation character (category P*) as its own token.
+
+    Every character of every chunk is looked at, so this is the reference for
+    any shortcut ``tokenize`` takes over whole chunks.
+    """
+    out: list[str] = []
+    for chunk in text.lower().split():
+        word: list[str] = []
+        for ch in chunk:
+            if unicodedata.category(ch).startswith("P"):
+                if word:
+                    out.append("".join(word))
+                    word = []
+                out.append(ch)
+            else:
+                word.append(ch)
+        if word:
+            out.append("".join(word))
+    return out

@@ -30,6 +30,7 @@ from stegadapt.corpus import (
     write_split_manifest,
 )
 from stegadapt.errors import CapacityError, CorpusError, IntegrityError
+from oracles import tokenize_by_char
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,27 @@ def test_tokenize_multiple_punctuation_chars_split_individually():
 def test_tokenize_join_idempotent(text):
     toks = tokenize(text)
     assert tokenize(" ".join(toks)) == toks
+
+
+# Letters with marks, superscript and Arabic-Indic digits, a Roman numeral,
+# apostrophes and abbreviations, case folds that grow, and chunks that mix scripts.
+_TOKENIZE_CASES = [
+    "naïve", "x²", "٣٤", "Ⅻ", "don't", "e.g.", "Straße", "İstanbul", "ǅemal", "half½",
+    "abc١٢٣", "日本語。", "Ⅻx²٣naïve", "Москва-2024", "x²-y", "αβγ٣, Ⅻ.", "ﬁne",
+]
+
+
+@pytest.mark.parametrize("text", _TOKENIZE_CASES)
+def test_tokenize_matches_the_char_by_char_reference_on_named_cases(text):
+    assert tokenize(text) == tokenize_by_char(text)
+
+
+_WORDS = st.text(st.characters(whitelist_categories=("L", "N", "P", "M")), min_size=1, max_size=8)
+
+
+@given(st.one_of(st.text(max_size=80), st.lists(_WORDS, max_size=12).map(" ".join)))
+def test_tokenize_matches_the_char_by_char_reference(text):
+    assert tokenize(text) == tokenize_by_char(text)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +205,7 @@ def test_load_corpus_malformed_json_names_line(tmp_path):
         {"id": "a", "tokens": [4, 5.5], "domain": "M"},
         {"id": "a", "tokens": [True, 5], "domain": "M"},
         {"id": "a", "tokens": ["x", 3], "domain": "M"},
+        {"id": "a", "tokens": [5, 6], "label": "stego", "bpw": True, "domain": "M"},
     ],
     ids=[
         "text-not-a-string",
@@ -192,6 +215,7 @@ def test_load_corpus_malformed_json_names_line(tmp_path):
         "tokens-float",
         "tokens-bool",
         "tokens-mixed",
+        "bpw-bool",
     ],
 )
 def test_load_corpus_mistyped_field_names_line(tmp_path, record):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stegadapt.config import load_config
 from stegadapt.corpus import BOS, EOS, PAD, build_vocab
 from stegadapt.errors import DesyncError
+from stegadapt.experiment import prepare_data
 from stegadapt.stegogen import (
     CODINGS,
     GENERATION_VERSION,
@@ -35,7 +37,8 @@ from oracles import (
     sorted_candidates,
 )
 
-HARBOR = Path(__file__).resolve().parents[1] / "data" / "corpora" / "harbor.txt"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+HARBOR = REPO_ROOT / "data" / "corpora" / "harbor.txt"
 
 
 def _vocab(words):
@@ -152,12 +155,29 @@ def test_sample_next_matches_inverse_cdf_oracle(letter_texts, order, alpha):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         history: list[int] = []
         while len(history) < 24:
-            tok = lm.sample_next(history, rng)
+            tok = lm.sample_next(lm._context_key(history), rng)
             assert tok == inverse_cdf_next(lm, history, twin.random())
             if tok == EOS:
                 break
             history.append(tok)
         assert rng.random() == twin.random()  # one variate per sampled token
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_sample_cover_matches_an_inverse_cdf_walk(letter_texts, order, alpha):
+    # Order 3 rolls the context through two and then one BOS of padding.
+    lm = _letter_lm(letter_texts, order, alpha)
+    for seed in range(40):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        walk: list[int] = []
+        while len(walk) < 24:
+            tok = inverse_cdf_next(lm, walk, twin.random())
+            if tok == EOS:
+                break
+            walk.append(tok)
+        assert sample_cover(lm, 24, rng) == tuple(walk)
+        assert rng.random() == twin.random()
 
 
 class _FixedUniforms:
@@ -176,7 +196,7 @@ def test_sample_next_on_cdf_boundaries_matches_oracle():
     a, b, c = vocab.encode(["a", "b", "c"])
     lm = _lm_from_counts(vocab, {(BOS,): {a: 1, b: 1, c: 2}})
     for u in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 0.9375):
-        assert lm.sample_next([], _FixedUniforms([u])) == inverse_cdf_next(lm, [], u)
+        assert lm.sample_next(lm._context_key([]), _FixedUniforms([u])) == inverse_cdf_next(lm, [], u)
 
 
 @pytest.mark.parametrize("order, alpha", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)])
@@ -206,8 +226,23 @@ _PINNED_DIGESTS = [
 ]
 
 
+# What tools/dataset_digest.py prints last for each config: tokenizer, shared
+# vocabulary and per-domain seeds included. Same re-pinning rule as above.
+_PINNED_CONFIG_DIGESTS = {
+    "quick": "e81c1cc9dc385a12b909adf65827f17d497c6358c6acf970a82091116d31eaf8",
+    "desk": "83ea8713234ca667df9fc58198e306ae69c687e3852ed6d0c0c7d2de1c40e1d6",
+}
+
+
 def test_generation_version_is_pinned_beside_the_digests():
     assert GENERATION_VERSION == _PINNED_GENERATION_VERSION
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIG_DIGESTS))
+def test_prepare_data_matches_the_pinned_config_digest(monkeypatch, name):
+    monkeypatch.chdir(REPO_ROOT)  # the configs name their corpora from the repository root
+    datasets = prepare_data(load_config(REPO_ROOT / "configs" / f"{name}.json")).datasets
+    assert dataset_digest(*(datasets[tag] for tag in sorted(datasets))) == _PINNED_CONFIG_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +444,21 @@ def test_roundtrip_random_payloads(roundtrip_lm, coding, bpw):
         assert extract_bits(roundtrip_lm, res.tokens, coding, bpw, n_bits) == payload
 
 
+@pytest.mark.parametrize("coding", CODINGS)
+def test_roundtrip_random_payloads_at_order_3(letter_texts, coding):
+    # Order 3: embedding and extraction roll their context keys through two BOS of padding.
+    lm = _letter_lm(letter_texts, order=3, alpha=0.5)
+    embed = embed_flc if coding == "flc" else embed_vlc
+    rng = np.random.default_rng(3)
+    for bpw in (1, 3, 5):
+        for i in range(20):
+            n_bits = int(rng.integers(1, 40))
+            payload = rng.integers(0, 2, n_bits).tolist()
+            res = embed(lm, payload, bpw, max_len=128, seed=i)
+            assert res.bits_consumed == n_bits
+            assert extract_bits(lm, res.tokens, coding, bpw, n_bits) == payload
+
+
 def test_extract_zero_bits_is_noop(roundtrip_lm):
     res = embed_flc(roundtrip_lm, [1, 0, 1], bpw=2, max_len=32, seed=0)
     assert extract_bits(roundtrip_lm, res.tokens, "flc", 2, 0) == []
@@ -468,9 +518,9 @@ def test_roundtrip_property_and_pool_membership(roundtrip_lm, bpw, data):
 # ---------------------------------------------------------------------------
 
 
-def _step_or_error(lm, history, bpw, coding, bits_left):
+def _step_or_error(lm, key, bpw, coding, bits_left):
     try:
-        return _step_code(lm, history, bpw, coding, bits_left)
+        return _step_code(lm, key, bpw, coding, bits_left)
     except ValueError as exc:
         return str(exc)
 
@@ -502,9 +552,9 @@ def test_warm_step_code_table_matches_a_fresh_lm(letter_texts, order, alpha):
             history = rng.choice(ids, size=int(rng.integers(0, 4))).tolist()
         bpw, coding, bits_left = int(rng.integers(1, 6)), CODINGS[int(rng.integers(2))], int(rng.integers(1, 7))
         size = len(warm._step_codes)
-        got = _step_or_error(warm, history, bpw, coding, bits_left)
+        got = _step_or_error(warm, warm._context_key(history), bpw, coding, bits_left)
         hits += len(warm._step_codes) == size and not isinstance(got, str)
-        assert got == _step_or_error(fresh, history, bpw, coding, bits_left)
+        assert got == _step_or_error(fresh, fresh._context_key(history), bpw, coding, bits_left)
     assert hits >= 100
     for step in warm._step_codes.values():
         assert step.by_code == {code: tok for tok, code in step.codes.items()}
@@ -515,13 +565,14 @@ def test_flc_narrowed_and_full_width_codes_of_one_context_stay_apart():
     vocab = _vocab("pqrs")
     lm = _ranked_lm(vocab, {"p": 8, "q": 4, "r": 2, "s": 1})
     p, q, r, s = vocab.encode(["p", "q", "r", "s"])
-    narrow = _step_code(lm, [], 2, "flc", 1)
-    full = _step_code(lm, [], 2, "flc", 2)
+    start = lm._context_key([])
+    narrow = _step_code(lm, start, 2, "flc", 1)
+    full = _step_code(lm, start, 2, "flc", 2)
     assert narrow.codes == {p: (0,), q: (1,)} and narrow.by_code == {(0,): p, (1,): q}
     assert full.codes == {p: (0, 0), q: (0, 1), r: (1, 0), s: (1, 1)}
-    assert _step_code(lm, [], 2, "flc", 1) is narrow
-    assert _step_code(lm, [], 2, "flc", 6) is full  # every bits_left >= bpw codes at full width
-    assert _step_code(lm, [], 2, "vlc", 1) is _step_code(lm, [], 2, "vlc", 6)  # VLC never narrows
+    assert _step_code(lm, start, 2, "flc", 1) is narrow
+    assert _step_code(lm, start, 2, "flc", 6) is full  # every bits_left >= bpw codes at full width
+    assert _step_code(lm, start, 2, "vlc", 1) is _step_code(lm, start, 2, "vlc", 6)  # VLC never narrows
     # Narrowed then full width in the context (r,): one embedding's last step, the next one's second.
     short = embed_flc(lm, [1, 0, 1], bpw=2, max_len=8, seed=0)
     long = embed_flc(lm, [1, 0, 1, 1], bpw=2, max_len=8, seed=0)
@@ -536,11 +587,11 @@ def test_context_without_candidates_raises_every_time_and_stores_nothing(coding)
     p, q = vocab.encode(["p", "q"])
     lm = _lm_from_counts(vocab, {(BOS,): {p: 2, q: 1}, (p,): {EOS: 1}, (q,): {p: 1}})
     embed = embed_flc if coding == "flc" else embed_vlc
-    start = _step_code(lm, [], 1, coding, 1)
+    start = _step_code(lm, lm._context_key([]), 1, coding, 1)
     assert start.codes == {p: (0,), q: (1,)}
     for _ in range(3):
         with pytest.raises(ValueError, match="no embedding candidates"):
-            _step_code(lm, [p], 1, coding, 1)
+            _step_code(lm, lm._context_key([p]), 1, coding, 1)
         with pytest.raises(ValueError, match="no embedding candidates"):
             embed(lm, [0, 0], bpw=1, max_len=8, seed=0)  # bit 0 picks p, whose context has none
         assert list(lm._step_codes.values()) == [start]
