@@ -70,25 +70,25 @@ class BuiltinEncoder:
             self._positions = sinusoidal_positions(length, self.config.d_h)
         return self._positions[:length]
 
-    def _clean_ids(self, tokens: Sequence[int]) -> np.ndarray:
-        ids = np.asarray(tokens)
-        if ids.size == 0:
-            raise ValueError("cannot encode an empty token sequence")
-        if ids.dtype.kind not in "iu":
-            raise TypeError("builtin encoder needs token ids; encode samples with a vocab first")
-        ids = ids.astype(np.int64)
-        return np.where((ids < 0) | (ids >= self.vocab_size), UNK, ids)
-
     def encode_batch(self, samples: Sequence[TextSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded feature tensor (B, T, d_h), lengths, and the padded id matrix."""
-        ids_list = [self._clean_ids(s.tokens) for s in samples]
-        lengths = np.array([len(i) for i in ids_list], dtype=np.int64)
+        """Padded feature tensor (B, T, d_h), lengths, and the padded id matrix.
+
+        The batch's ids are cleaned in one pass over their concatenation:
+        an id outside the table reads UNK's row.
+        """
+        seqs = [s.tokens for s in samples]
+        lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+        if not lengths.all():
+            raise ValueError("cannot encode an empty token sequence")
         width = int(lengths.max())
-        ids = np.full((len(samples), width), PAD, dtype=np.int64)
-        for row, seq in enumerate(ids_list):
-            ids[row, : len(seq)] = seq
-        feats = self.table[ids] + self._position_rows(width)[None, :, :]
+        flat = np.asarray([tok for seq in seqs for tok in seq])
+        if flat.dtype.kind not in "iu":
+            raise TypeError("builtin encoder needs token ids; encode samples with a vocab first")
+        flat = flat.astype(np.int64)
         mask = np.arange(width)[None, :] < lengths[:, None]
+        ids = np.full((len(samples), width), PAD, dtype=np.int64)
+        ids[mask] = np.where((flat < 0) | (flat >= self.vocab_size), UNK, flat)
+        feats = self.table[ids] + self._position_rows(width)[None, :, :]
         feats[~mask] = 0.0
         return feats, lengths, ids
 

@@ -17,14 +17,15 @@ a packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows
 sorted by length, descending, and only the valid timestep-rows kept,
 time-major, so each step works on one contiguous slice of the sequences
 still running. The reversed direction gathers each sequence's tokens back to
-front into the same slices. Both directions of a layer run as one array
-stacked on a leading axis of 2 (0 forward, 1 reversed), and the layer's
-weights are stored stacked the same way, so every kernel reads them as they
-are. The input projection, the weight gradients, the input gradient and the
-gate are each one product over the packed rows, and pooling sums each
-step's slice in time order. Padded positions are never read: only the
-padded input features and their gradient, which is exactly zero there
-whatever the padding holds, keep the (B, T, d_h) layout.
+front into the same slices. Both directions of a layer run together, each
+activation stored time-major as (N, 2, ·) (see :class:`_PairCache`); the
+layer's weights are stacked per direction on a leading axis of 2, and the
+matrix products read the activations through (2, N, ·) transposed views.
+The input projection, the weight gradients, the input gradient and the gate
+are each one product over the packed rows, and pooling sums each step's
+slice in time order. Padded positions are never read: only the padded input
+features and their gradient, which is exactly zero there whatever the
+padding holds, keep the (B, T, d_h) layout.
 """
 
 from __future__ import annotations
@@ -166,19 +167,23 @@ def _pack(lengths: np.ndarray) -> _Packing:
 class _PairCache:
     """Forward and reversed-direction activations over the packed rows.
 
-    Index 0 of the leading axis is the pass over the input as-is, index 1
-    the pass over per-sample reversed sequences, each in its own packed
-    frame (the same step slices, tokens gathered through
-    ``_Packing.reverse``); stacking lets one matmul or ufunc call serve both
-    directions each timestep.
+    Direction 0 is the pass over the input as-is, direction 1 the pass over
+    per-sample reversed sequences, each in its own packed frame (the same
+    step slices, tokens gathered through ``_Packing.reverse``). The
+    activations are time-major, (N, 2, ·), so step ``t``'s rows
+    ``offsets[t]:offsets[t + 1]`` of both directions are one contiguous
+    block for each ufunc call. Direction-major (2, N, ·) arrays would split
+    every step into two strided chunks, and at these batch sizes numpy's
+    per-call cost follows the number of chunks. Only the layer input ``x``,
+    which matrix products alone read, is stacked direction-major.
     """
 
     x: np.ndarray          # (2, N, d_in)
-    sig: np.ndarray        # (2, N, 3h) input/forget/output activations
-    cand: np.ndarray       # (2, N, h) tanh cell candidate
-    cell: np.ndarray       # (2, N, h)
-    tanh_cell: np.ndarray  # (2, N, h)
-    hidden: np.ndarray     # (2, N, h)
+    sig: np.ndarray        # (N, 2, 3h) input/forget/output activations
+    cand: np.ndarray       # (N, 2, h) tanh cell candidate
+    cell: np.ndarray       # (N, 2, h)
+    tanh_cell: np.ndarray  # (N, 2, h)
+    hidden: np.ndarray     # (N, 2, h)
 
 
 def _run_directions(
@@ -186,28 +191,29 @@ def _run_directions(
 ) -> _PairCache:
     rows = x_pair.shape[1]
     h = wh.shape[2]
-    zx = np.matmul(x_pair, wx.transpose(0, 2, 1)) + b[:, None, :]
-    sig = np.empty((2, rows, 3 * h), dtype=zx.dtype)
-    cand = np.empty((2, rows, h), dtype=zx.dtype)
-    cell = np.empty((2, rows, h), dtype=zx.dtype)
-    tanh_cell = np.empty((2, rows, h), dtype=zx.dtype)
-    hidden = np.empty((2, rows, h), dtype=zx.dtype)
+    dtype = np.result_type(x_pair, wx)
+    zx = np.empty((rows, 2, 4 * h), dtype=dtype)
+    # Written through a view into the time-major block: no transposed copy.
+    np.matmul(x_pair, wx.transpose(0, 2, 1), out=zx.transpose(1, 0, 2))
+    zx += b
+    sig = np.empty((rows, 2, 3 * h), dtype=dtype)
+    cand, cell, tanh_cell, hidden = (np.empty((rows, 2, h), dtype=dtype) for _ in range(4))
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
     bounds = offsets.tolist()
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
-        z = zx[:, lo:hi]
+        z = zx[lo:hi]
         if t:
             prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
-            z = z + np.matmul(hidden[:, prev], wh_t)
-        sig_t = _sigmoid(z[:, :, : 3 * h], out=sig[:, lo:hi])
-        cand_t = np.tanh(z[:, :, 3 * h :], out=cand[:, lo:hi])
-        cell_t = cell[:, lo:hi]
+            z = z + np.matmul(hidden[prev].transpose(1, 0, 2), wh_t).transpose(1, 0, 2)
+        sig_t = _sigmoid(z[:, :, : 3 * h], out=sig[lo:hi])
+        cand_t = np.tanh(z[:, :, 3 * h :], out=cand[lo:hi])
+        cell_t = cell[lo:hi]
         np.multiply(sig_t[:, :, :h], cand_t, out=cell_t)
         if t:
-            cell_t += sig_t[:, :, h : 2 * h] * cell[:, prev]
-        tanh_t = np.tanh(cell_t, out=tanh_cell[:, lo:hi])
-        np.multiply(sig_t[:, :, 2 * h :], tanh_t, out=hidden[:, lo:hi])
+            cell_t += sig_t[:, :, h : 2 * h] * cell[prev]
+        tanh_t = np.tanh(cell_t, out=tanh_cell[lo:hi])
+        np.multiply(sig_t[:, :, 2 * h :], tanh_t, out=hidden[lo:hi])
     return _PairCache(x_pair, sig, cand, cell, tanh_cell, hidden)
 
 
@@ -217,7 +223,8 @@ class BatchTrace:
 
     ``states``, ``gate`` and ``gated`` are (N, 2h), row ``i`` being token
     ``packing.steps[i]`` of batch row ``packing.rows[i]``; the pooled and
-    classifier arrays are per batch row, in input order.
+    classifier arrays are per batch row, in input order. ``pair_caches``
+    holds one :class:`_PairCache` per layer, time-major (N, 2, ·).
     """
 
     mode: str
@@ -270,7 +277,7 @@ def forward_batch(
         wx, wh, b = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh", "b"))
         cache = _run_directions(np.stack([states, states[packing.reverse]]), wx, wh, b, packing.offsets)
         pair_caches.append(cache)
-        states = np.concatenate([cache.hidden[0], cache.hidden[1][packing.reverse]], axis=1)
+        states = np.concatenate([cache.hidden[:, 0], cache.hidden[packing.reverse, 1]], axis=1)
     if not np.isfinite(states).all():
         raise NumericError("bilstm")
 
@@ -338,48 +345,54 @@ def batch_loss_ce(probs: np.ndarray, labels: Sequence[int]) -> float:
 def _bptt_directions(
     cache: _PairCache, dh_out: np.ndarray, wx: np.ndarray, wh: np.ndarray, packing: _Packing
 ):
-    """Backprop through both stacked directions at once.
+    """Backprop through both directions at once.
 
-    ``dh_out`` is (2, N, h), each direction's output gradient in its own
-    packed frame. Returns weight gradients stacked per direction on the
-    leading axis and input gradients in the same frames.
+    ``dh_out`` is (N, 2, h), time-major like the cache, each direction's
+    output gradient in its own packed frame; ``dz`` and both carries have
+    the same layout, so each step reads and writes one contiguous block.
+    The derivative factors ``1 - tanh(c)**2``, ``1 - sigmoid`` and
+    ``1 - g**2`` are computed once over all rows before the loop. Returns
+    weight gradients stacked per direction on a leading axis of 2 and input
+    gradients (2, N, d_in) in each direction's frame.
     """
     bounds = packing.offsets.tolist()
     batch = bounds[1]
     h = wh.shape[2]
     dtype = dh_out.dtype
-    dz = np.empty((2, dh_out.shape[1], 4 * h), dtype=dtype)
+    dz = np.empty((dh_out.shape[0], 2, 4 * h), dtype=dtype)
     # A carry row is written only at the steps its sequence runs, so it is
     # still zero when the backward sweep reaches that sequence's last step.
-    dh_carry = np.zeros((2, batch, h), dtype=dtype)
-    dc_carry = np.zeros((2, batch, h), dtype=dtype)
+    dh_carry = np.zeros((batch, 2, h), dtype=dtype)
+    dc_carry = np.zeros((batch, 2, h), dtype=dtype)
+    d_tanh_cell = 1.0 - cache.tanh_cell * cache.tanh_cell
+    d_sig = 1.0 - cache.sig
+    d_cand = 1.0 - cache.cand * cache.cand
     for t in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
         n = hi - lo
-        sig_t = cache.sig[:, lo:hi]
-        tanh_t = cache.tanh_cell[:, lo:hi]
-        cand_t = cache.cand[:, lo:hi]
-        dh = dh_out[:, lo:hi] + dh_carry[:, :n]
-        dc = dc_carry[:, :n] + dh * sig_t[:, :, 2 * h :] * (1.0 - tanh_t * tanh_t)
-        d_pre = np.empty((2, n, 3 * h), dtype=dtype)
-        d_pre[:, :, :h] = dc * cand_t
+        sig_t = cache.sig[lo:hi]
+        tanh_t = cache.tanh_cell[lo:hi]
+        dh = dh_out[lo:hi] + dh_carry[:n]
+        dc = dc_carry[:n] + dh * sig_t[:, :, 2 * h :] * d_tanh_cell[lo:hi]
+        d_pre = np.empty((n, 2, 3 * h), dtype=dtype)
+        d_pre[:, :, :h] = dc * cache.cand[lo:hi]
         if t:
-            d_pre[:, :, h : 2 * h] = dc * cache.cell[:, bounds[t - 1] : bounds[t - 1] + n]
+            d_pre[:, :, h : 2 * h] = dc * cache.cell[bounds[t - 1] : bounds[t - 1] + n]
         else:
             d_pre[:, :, h : 2 * h] = 0.0
         d_pre[:, :, 2 * h :] = dh * tanh_t
-        dz_t = dz[:, lo:hi]
-        dz_t[:, :, : 3 * h] = d_pre * sig_t * (1.0 - sig_t)
-        dz_t[:, :, 3 * h :] = dc * sig_t[:, :, :h] * (1.0 - cand_t * cand_t)
-        dh_carry[:, :n] = np.matmul(dz_t, wh)
-        dc_carry[:, :n] = dc * sig_t[:, :, h : 2 * h]
-    dz_cols = dz.transpose(0, 2, 1)
+        dz_t = dz[lo:hi]
+        dz_t[:, :, : 3 * h] = d_pre * sig_t * d_sig[lo:hi]
+        dz_t[:, :, 3 * h :] = dc * sig_t[:, :, :h] * d_cand[lo:hi]
+        np.matmul(dz_t.transpose(1, 0, 2), wh, out=dh_carry[:n].transpose(1, 0, 2))
+        dc_carry[:n] = dc * sig_t[:, :, h : 2 * h]
+    dz_cols = dz.transpose(1, 2, 0)
     dwx = np.matmul(dz_cols, cache.x)
     # Steps t >= 1 (the rows past the first ``batch``) read the hidden state
     # their sequence left at step t - 1: the carried rows, in the same order.
-    dwh = np.matmul(dz_cols[:, :, batch:], cache.hidden[:, packing.carried])
-    db = dz.sum(axis=1)
-    dx = np.matmul(dz, wx)
+    dwh = np.matmul(dz_cols[:, :, batch:], cache.hidden[packing.carried].transpose(1, 0, 2))
+    db = dz.sum(axis=0)
+    dx = np.matmul(dz.transpose(1, 0, 2), wx)
     return dwx, dwh, db, dx
 
 
@@ -422,7 +435,7 @@ def backward_batch(
 
     h = cfg.hidden
     for layer in range(cfg.layers - 1, -1, -1):
-        dh_pair = np.stack([d_upper[:, :h], d_upper[packing.reverse, h:]])
+        dh_pair = np.stack([d_upper[:, :h], d_upper[packing.reverse, h:]], axis=1)
         wx, wh = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh"))
         dwx, dwh, db, dx = _bptt_directions(trace.pair_caches[layer], dh_pair, wx, wh, packing)
         grads.update({f"lstm{layer}.wx": dwx, f"lstm{layer}.wh": dwh, f"lstm{layer}.b": db})

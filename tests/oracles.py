@@ -6,8 +6,9 @@ gradients are checked by central finite differences on the public loss, and
 model equality, encoder checksums, single-sample features, the per-sample
 loss and the full next-token distribution are computed from public tensors
 and ``step_probs``, the LM's sampling and candidate ranking are
-recomputed from its raw ``counts`` by an inverse CDF and a full sort, and
-tokenization is redone one character at a time.
+recomputed from its raw ``counts`` by an inverse CDF and a full sort,
+tokenization is redone one character at a time, and the Bi-LSTM step loops
+are kept in their earlier direction-major layout.
 """
 
 from __future__ import annotations
@@ -191,3 +192,86 @@ def tokenize_by_char(text: str) -> list[str]:
         if word:
             out.append("".join(word))
     return out
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def run_directions_direction_major(x_pair, wx, wh, b, offsets) -> dict[str, np.ndarray]:
+    """Both directions of one Bi-LSTM layer over the packed rows, every array (2, N, ·).
+
+    The reference for ``head._run_directions``: the same operations in the
+    same order, with each direction's activations in a block of its own, so
+    a step's rows are two strided slices instead of one contiguous block.
+    """
+    rows = x_pair.shape[1]
+    h = wh.shape[2]
+    zx = np.matmul(x_pair, wx.transpose(0, 2, 1)) + b[:, None, :]
+    sig = np.empty((2, rows, 3 * h), dtype=zx.dtype)
+    cand = np.empty((2, rows, h), dtype=zx.dtype)
+    cell = np.empty((2, rows, h), dtype=zx.dtype)
+    tanh_cell = np.empty((2, rows, h), dtype=zx.dtype)
+    hidden = np.empty((2, rows, h), dtype=zx.dtype)
+    wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
+    bounds = offsets.tolist()
+    for t in range(len(bounds) - 1):
+        lo, hi = bounds[t], bounds[t + 1]
+        z = zx[:, lo:hi]
+        if t:
+            prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
+            z = z + np.matmul(hidden[:, prev], wh_t)
+        sig_t = _sigmoid(z[:, :, : 3 * h], out=sig[:, lo:hi])
+        cand_t = np.tanh(z[:, :, 3 * h :], out=cand[:, lo:hi])
+        cell_t = cell[:, lo:hi]
+        np.multiply(sig_t[:, :, :h], cand_t, out=cell_t)
+        if t:
+            cell_t += sig_t[:, :, h : 2 * h] * cell[:, prev]
+        tanh_t = np.tanh(cell_t, out=tanh_cell[:, lo:hi])
+        np.multiply(sig_t[:, :, 2 * h :], tanh_t, out=hidden[:, lo:hi])
+    return {"x": x_pair, "sig": sig, "cand": cand, "cell": cell, "tanh_cell": tanh_cell, "hidden": hidden}
+
+
+def bptt_directions_direction_major(cache, dh_out, wx, wh, offsets, carried):
+    """Backprop through both directions with (2, N, ·) arrays, the reference for ``head._bptt_directions``.
+
+    ``cache`` is what :func:`run_directions_direction_major` returns and
+    ``dh_out`` is (2, N, h). Returns ``dwx, dwh, db, dx``.
+    """
+    bounds = offsets.tolist()
+    batch = bounds[1]
+    h = wh.shape[2]
+    dtype = dh_out.dtype
+    dz = np.empty((2, dh_out.shape[1], 4 * h), dtype=dtype)
+    dh_carry = np.zeros((2, batch, h), dtype=dtype)
+    dc_carry = np.zeros((2, batch, h), dtype=dtype)
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[t], bounds[t + 1]
+        n = hi - lo
+        sig_t = cache["sig"][:, lo:hi]
+        tanh_t = cache["tanh_cell"][:, lo:hi]
+        cand_t = cache["cand"][:, lo:hi]
+        dh = dh_out[:, lo:hi] + dh_carry[:, :n]
+        dc = dc_carry[:, :n] + dh * sig_t[:, :, 2 * h :] * (1.0 - tanh_t * tanh_t)
+        d_pre = np.empty((2, n, 3 * h), dtype=dtype)
+        d_pre[:, :, :h] = dc * cand_t
+        if t:
+            d_pre[:, :, h : 2 * h] = dc * cache["cell"][:, bounds[t - 1] : bounds[t - 1] + n]
+        else:
+            d_pre[:, :, h : 2 * h] = 0.0
+        d_pre[:, :, 2 * h :] = dh * tanh_t
+        dz_t = dz[:, lo:hi]
+        dz_t[:, :, : 3 * h] = d_pre * sig_t * (1.0 - sig_t)
+        dz_t[:, :, 3 * h :] = dc * sig_t[:, :, :h] * (1.0 - cand_t * cand_t)
+        dh_carry[:, :n] = np.matmul(dz_t, wh)
+        dc_carry[:, :n] = dc * sig_t[:, :, h : 2 * h]
+    dz_cols = dz.transpose(0, 2, 1)
+    dwx = np.matmul(dz_cols, cache["x"])
+    dwh = np.matmul(dz_cols[:, :, batch:], cache["hidden"][:, carried])
+    db = dz.sum(axis=1)
+    dx = np.matmul(dz, wx)
+    return dwx, dwh, db, dx

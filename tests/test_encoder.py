@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from stegadapt.corpus import TextSample, UNK
+from stegadapt.corpus import PAD, TextSample, UNK
 from stegadapt.encoder import (
     BuiltinEncoder,
     EncoderConfig,
@@ -96,6 +96,20 @@ def test_builtin_batch_matches_single_encoding():
     np.testing.assert_allclose(feats[0], encode_single(enc, samples[0]))
     np.testing.assert_allclose(feats[1, :1], encode_single(enc, samples[1]))
     np.testing.assert_array_equal(feats[1, 1:], 0.0)
+
+
+def test_builtin_batch_cleans_negative_and_out_of_vocab_ids():
+    enc = BuiltinEncoder(EncoderConfig(d_h=8, seed=4), vocab_size=10)
+    samples = [_sample((4, -1, 12), "a"), _sample((10,), "b"), _sample((-7, 5, 6, 9, 99), "c"), _sample((3, 2), "d")]
+    feats, lengths, ids = enc.encode_batch(samples)
+    np.testing.assert_array_equal(lengths, [3, 1, 5, 2])
+    np.testing.assert_array_equal(
+        ids,
+        [[4, UNK, UNK, PAD, PAD], [UNK, PAD, PAD, PAD, PAD], [UNK, 5, 6, 9, UNK], [3, 2, PAD, PAD, PAD]],
+    )
+    for row, (sample, n) in enumerate(zip(samples, lengths)):
+        assert feats[row, :n].tobytes() == encode_single(enc, sample).tobytes()
+        np.testing.assert_array_equal(feats[row, n:], 0.0)
 
 
 def test_builtin_trainable_only_during_pretrain():

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from stegadapt import head
 from stegadapt.errors import NumericError
 from stegadapt.head import (
     AdamState,
@@ -16,7 +17,13 @@ from stegadapt.head import (
     forward_batch,
     init_params,
 )
-from oracles import central_difference_grads, loss_ce, max_gradient_mismatch
+from oracles import (
+    bptt_directions_direction_major,
+    central_difference_grads,
+    loss_ce,
+    max_gradient_mismatch,
+    run_directions_direction_major,
+)
 
 
 def _pad(feature_list):
@@ -376,6 +383,64 @@ def test_float32_run_matches_float64_run(layers, mode):
     for name, ref in double.items():
         scale = np.abs(ref).max()
         assert np.abs(single[name] - ref).max() <= FLOAT32_REL_TOL * scale, name
+
+
+# ---------------------------------------------------------------------------
+# time-major step loops against the direction-major oracle
+# ---------------------------------------------------------------------------
+
+
+# The oracle loops, wrapped to take and give the head's time-major caches and
+# output gradients; each transpose copies exact values.
+_CACHE_ARRAYS = ("sig", "cand", "cell", "tanh_cell", "hidden")
+
+
+def _oracle_run_directions(x_pair, wx, wh, b, offsets):
+    ref = run_directions_direction_major(x_pair, wx, wh, b, offsets)
+    return head._PairCache(ref["x"], *(np.ascontiguousarray(ref[k].transpose(1, 0, 2)) for k in _CACHE_ARRAYS))
+
+
+def _oracle_bptt_directions(cache, dh_out, wx, wh, packing):
+    ref = {k: np.ascontiguousarray(getattr(cache, k).transpose(1, 0, 2)) for k in _CACHE_ARRAYS}
+    ref["x"] = cache.x
+    dh_ref = np.ascontiguousarray(dh_out.transpose(1, 0, 2))
+    return bptt_directions_direction_major(ref, dh_ref, wx, wh, packing.offsets, packing.carried)
+
+
+def _run_and_record(padded, lengths, labels, params, mode):
+    """Every array a forward and backward pass produce, by name."""
+    trace = forward_batch(padded, lengths, params, mode, np.random.default_rng(5))
+    grads, d_features = backward_batch(trace, labels, params)
+    out = {"d_features": d_features, **{f"grad.{k}": v for k, v in grads.items()}}
+    for f in fields(trace):
+        value = getattr(trace, f.name)
+        if isinstance(value, np.ndarray):
+            out[f.name] = value
+    for layer, cache in enumerate(trace.pair_caches):
+        for f in fields(cache):
+            out[f"lstm{layer}.{f.name}"] = getattr(cache, f.name)
+    return out
+
+
+@pytest.mark.parametrize("lengths", [MIXED_LENGTHS, (4,), (3, 3, 3, 3)], ids=["mixed", "one_row", "equal"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_time_major_loops_match_direction_major_oracle_bitwise(lengths, dtype, layers, mode, monkeypatch):
+    """Trace, probabilities, gradients and d_features are byte-identical to the oracle loops'."""
+    rng = np.random.default_rng(31)
+    params = init_params(HeadConfig(d_h=10, hidden=6, layers=layers), seed=32).astype(dtype)
+    padded, lengths = _pad([rng.normal(size=(n, 10)) for n in lengths])
+    labels = rng.integers(0, 2, lengths.size)
+    got = _run_and_record(padded, lengths, labels, params, mode)
+    monkeypatch.setattr(head, "_run_directions", _oracle_run_directions)
+    monkeypatch.setattr(head, "_bptt_directions", _oracle_bptt_directions)
+    want = _run_and_record(padded, lengths, labels, params, mode)
+    assert got.keys() == want.keys()
+    assert ("dropout_mask" in got) == (mode == "train")
+    for name, value in want.items():
+        assert got[name].dtype == value.dtype and got[name].shape == value.shape, name
+        assert got[name].tobytes() == value.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
