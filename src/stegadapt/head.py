@@ -20,7 +20,7 @@ still running. The reversed direction gathers each sequence's tokens back to
 front into the same slices. Both directions of a layer run together, each
 activation stored time-major as (N, 2, ·) (see :class:`_PairCache`); the
 layer's weights are stacked per direction on a leading axis of 2, and the
-matrix products read the activations through (2, N, ·) transposed views.
+matrix products reach the activations through (2, N, ·) transposed views.
 The input projection, the weight gradients, the input gradient and the gate
 are each one product over the packed rows, and pooling sums each step's
 slice in time order. Padded positions are never read: only the padded input
