@@ -93,10 +93,17 @@ class BuiltinEncoder:
         return feats, lengths, ids
 
     def gradient_tensors(self, ids: np.ndarray, d_features: np.ndarray, lengths: np.ndarray) -> dict[str, np.ndarray]:
-        """Accumulate feature gradients into embedding-row gradients."""
+        """Accumulate feature gradients into embedding-row gradients.
+
+        One 1-D ``np.add.at`` over the flat element indices ``id * d_h +
+        column``: it adds each element's terms in the same order as a
+        scatter of whole rows, which is numpy's slow path.
+        """
         grad = np.zeros_like(self.table)
         mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
-        np.add.at(grad, ids[mask], d_features[mask].astype(grad.dtype))  # mixed dtypes take a slow loop
+        d_h = grad.shape[1]
+        flat = (ids[mask][:, None] * d_h + np.arange(d_h)).ravel()
+        np.add.at(grad.reshape(-1), flat, d_features[mask].astype(grad.dtype).ravel())  # mixed dtypes take a slow loop
         grad[PAD] = 0.0
         return {"encoder.embedding": grad}
 

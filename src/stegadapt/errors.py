@@ -7,9 +7,20 @@ callers need to distinguish.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class StegadaptError(Exception):
-    """Base class for package-specific failures."""
+    """Base class for package-specific failures.
+
+    A pickled error keeps its message and its extra field, and unpickling
+    does not run a subclass's ``__init__`` again, which would format the
+    message twice or miss an argument. So an error raised in a forked
+    process reaches its parent unchanged.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class CorpusError(StegadaptError):

@@ -14,11 +14,16 @@ each generated domain's ``manifest.json``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .config import ExperimentConfig
 from .corpus import DomainDataset, TextSample, Vocab, dataset_from_jsonl, dataset_to_jsonl, strip_labels
 from .corpus import reading, write_jsonl, write_lines
 from .encoder import load_precomputed
-from .errors import CorpusError
+from .errors import CorpusError, StegadaptError
 from .head import HeadConfig
 from .metrics import Metrics, mean_std
 from .model import Classifier, config_hash, save_checkpoint
@@ -37,6 +42,7 @@ ABLATIONS = ("none", "w-PL", "w-FF", "w-SLB")
 SLB_LAYERS = 2  # Bi-LSTM layers of the stacked-LSTM (w-SLB) variant
 CSV_COLUMNS = ("source", "target", "bpw", "coding", "variant", "seed", "acc", "f1", "tp", "fp", "tn", "fn", "n")
 _STAGE_LOGS = {"pretrain": "pretrain_log.jsonl", "adapted": "rounds.jsonl"}  # stage -> its log file
+_PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal the kernel sends a child when its parent dies
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,73 @@ def _data_key(data: DataConfig) -> str:
     return config_hash({**asdict(data), "file_sha256": files, "generation_version": GENERATION_VERSION})[:16]
 
 
+def _forked_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]`` for nonempty ``items``, over at most one process per CPU this process may use.
+
+    Items are dealt round robin: this process computes the first share and
+    each forked child another, which it returns (or the exception it
+    raised) pickled through a pipe. With one CPU, without ``os.fork`` or
+    while other threads run, every item is computed here. Every child is
+    killed and reaped before this returns or raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    slots = min(len(items), cpus) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    children = []  # (pid, read end of its pipe)
+    parent = os.getpid()
+    try:
+        for slot in range(1, slots):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(fn, items[slot::slots], parent, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares = [[fn(item) for item in items[::slots]]]
+        for pid, stream in children:
+            try:
+                done, value = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise StegadaptError(f"worker process {pid} ended without a result") from exc
+            if not done:
+                raise value
+            shares.append(value)
+    finally:
+        for pid, stream in children:
+            stream.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [shares[index % slots][index // slots] for index in range(len(items))]
+
+
+def _run_child(fn: Callable, items: Sequence, parent: int, read_fd: int, write_fd: int) -> None:
+    """A forked child's whole life: compute ``items``, pickle the outcome into ``write_fd``, exit.
+
+    On Linux the kernel kills the child when its parent dies, so a parent
+    ended by a signal it does not handle leaves no child running.
+    """
+    status = 1
+    try:
+        with contextlib.suppress(OSError, AttributeError):
+            import ctypes
+
+            prctl = ctypes.CDLL(None, use_errno=True).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return  # the parent died before the request took effect
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as stream:
+            try:
+                outcome = (True, [fn(item) for item in items])
+            except BaseException as exc:  # the parent re-raises it
+                outcome = (False, exc)
+            pickle.dump(outcome, stream, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)  # never the parent's cleanup, atexit hooks or buffered output
+
+
 def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> TaskData:
     """Build (or load from cache) every configured domain dataset.
 
@@ -113,8 +186,10 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     come from the cache when it is complete; every other step is the same
     for a cold and a warm cache. A cold cache gets the vocabulary and, per
     domain, its samples, splits and a ``manifest.json`` that records the
-    generation spec, the domain seed and the vocabulary size. A
-    ``vocab.json`` in any ``dataset_dirs`` directory is the shared
+    generation spec, the domain seed and the vocabulary size. A domain
+    depends only on its corpus, its seed and the vocabulary, so the domains
+    are generated side by side through ``_forked_map``, and this process
+    alone writes the cache. A ``vocab.json`` in any ``dataset_dirs`` directory is the shared
     vocabulary (they must agree), and it encodes every directory's ``text``
     records and surface tokens.
     """
@@ -150,10 +225,14 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
         if vocab is None:
             union = [toks for tag in generated_tags for toks in texts[tag]]
             vocab = build_vocab(union, min_freq=cfg.data.min_freq)
-        seeds = {}
-        for index, tag in enumerate(generated_tags):
-            seeds[tag] = int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
-            datasets[tag] = build_domain_dataset(texts[tag], tag, cfg.data, seeds[tag], vocab)
+        seeds = {
+            tag: int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
+            for index, tag in enumerate(generated_tags)
+        }
+        built = _forked_map(
+            lambda tag: build_domain_dataset(texts[tag], tag, cfg.data, seeds[tag], vocab), generated_tags
+        )
+        datasets.update(zip(generated_tags, built))
         if cache_root is not None:
             write_lines([vocab.to_json()], cache_root / "vocab.json")
             for tag in generated_tags:

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: optimal prefix-code
 length is computed from the complete list of full-binary-tree depth profiles,
 gradients are checked by central finite differences on the public loss, and
-model equality, encoder checksums, single-sample features, the per-sample
-loss and the full next-token distribution are computed from public tensors
-and ``step_probs``, the LM's sampling and candidate ranking are
+model equality, encoder checksums, single-sample features, the embedding
+gradient as a scatter of whole rows, the per-sample loss and the full
+next-token distribution are computed from public tensors and
+``step_probs``, the LM's sampling and candidate ranking are
 recomputed from its raw ``counts`` by an inverse CDF and a full sort,
 tokenization is redone one character at a time, and the Bi-LSTM step loops
 are kept in their earlier direction-major layout.
@@ -125,6 +126,15 @@ def encode_single(encoder, sample) -> np.ndarray:
     ids = np.asarray(sample.tokens, dtype=np.int64)
     ids = np.where((ids < 0) | (ids >= encoder.vocab_size), UNK, ids)
     return encoder.table[ids] + sinusoidal_positions(len(ids), encoder.d_h)
+
+
+def embedding_gradient_by_rows(encoder, ids, d_features, lengths) -> np.ndarray:
+    """The oracle for ``BuiltinEncoder.gradient_tensors``: a 2-D ``np.add.at`` of whole rows, PAD's row zeroed."""
+    grad = np.zeros_like(encoder.table)
+    mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+    np.add.at(grad, ids[mask], d_features[mask].astype(grad.dtype))
+    grad[PAD] = 0.0
+    return grad
 
 
 def loss_ce(pred, label: int) -> float:

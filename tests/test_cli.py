@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -35,6 +36,29 @@ def test_gen_data_writes_cache(workspace, capsys):
     assert "domain S" in printed and "domain F" in printed
     cache = list((tmp / "out" / "data").glob("*/COMPLETE"))
     assert len(cache) == 1
+
+
+def test_gen_data_reports_an_error_from_a_forked_domain(workspace, capsys, monkeypatch):
+    from stegadapt import experiment
+    from stegadapt.errors import CapacityError
+
+    real_build = experiment.build_domain_dataset
+
+    def build(texts, tag, *args):
+        if tag == "S":  # the second tag, generated in the forked child, which inherits this patch
+            raise CapacityError(f"no room for domain {tag} in process {os.getpid()}")
+        return real_build(texts, tag, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiment, "build_domain_dataset", build)
+    tmp, config = workspace
+    assert _run(config, tmp / "out", "gen-data") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no room for domain S in process ")
+    assert int(err.split()[-1]) != os.getpid()  # raised in the child and unpickled here
+    assert not list((tmp / "out").rglob("COMPLETE"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pretrain_adapt_evaluate_chain(workspace):

@@ -17,7 +17,7 @@ from stegadapt.errors import CorpusError, FeatureLookupError, IntegrityError
 from stegadapt.head import HeadConfig
 from stegadapt.model import Classifier
 from feature_store import save_precomputed
-from oracles import encode_single, encoder_checksum
+from oracles import embedding_gradient_by_rows, encode_single, encoder_checksum
 
 
 def _sample(tokens, sid="s0"):
@@ -132,6 +132,21 @@ def test_builtin_gradient_accumulates_per_token_rows():
     grads = enc.gradient_tensors(ids, d_feats, lengths)["encoder.embedding"]
     np.testing.assert_array_equal(grads[4], 2 * np.ones(4))
     np.testing.assert_array_equal(grads[5], 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_builtin_gradient_matches_row_scatter_oracle_bitwise(dtype):
+    """Repeated ids, ids cleaned to UNK, PAD ids inside a sample and padding all scatter as whole rows would."""
+    enc = BuiltinEncoder(EncoderConfig(d_h=6, seed=5), vocab_size=12)
+    token_rows = [(4, 4, 7, 4), (PAD, 9, -3, 4, 40), (7,), (UNK, 11, 12, PAD, 7, 7, 4)]
+    samples = [_sample(tokens, f"s{row}") for row, tokens in enumerate(token_rows)]
+    _, lengths, ids = enc.encode_batch(samples)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        d_features = rng.standard_normal(ids.shape + (enc.d_h,)).astype(dtype)
+        grad = enc.gradient_tensors(ids, d_features, lengths)["encoder.embedding"]
+        assert grad.tobytes() == embedding_gradient_by_rows(enc, ids, d_features, lengths).tobytes()
+    assert not grad[PAD].any() and grad[UNK].any()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import builtins
 import json
+import os
+import pickle
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from stegadapt.experiment import (
     TaskResult,
     TaskSpec,
     ABLATIONS,
+    _forked_map,
     _save_stage,
     build_model,
     export_projection,
@@ -155,6 +160,134 @@ def test_prepare_data_checks_feature_store_width_on_warm_cache(tiny_config_dict,
         with pytest.raises(CorpusError, match="feature store width 8"):
             prepare_data(cfg, tmp_path / "cache")
     assert list((tmp_path / "cache" / "data").glob("*/COMPLETE"))
+
+
+def _cpus(monkeypatch, n):
+    """Make ``n`` CPUs this process may run on, as far as ``prepare_data`` can tell."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _package_errors():
+    """One instance of every ``StegadaptError`` subclass, with its extra field set where it has one."""
+    from stegadapt import errors
+
+    return [
+        errors.CorpusError("bad record", line=3),
+        errors.CorpusError("bad file"),
+        errors.IntegrityError("duplicate id 's0'"),
+        errors.CapacityError("pool too small"),
+        errors.DesyncError("lost sync", step=5),
+        errors.NumericError("gate"),
+        errors.CheckpointError("runs/pretrain.npz", "not a zip file"),
+        errors.FeatureLookupError("no features for 's0'"),
+    ]
+
+
+def test_package_errors_survive_a_pickle_round_trip():
+    from stegadapt.errors import StegadaptError
+
+    def subclasses(cls):
+        return {cls} | {sub for direct in cls.__subclasses__() for sub in subclasses(direct)}
+
+    instances = _package_errors()
+    assert {type(exc) for exc in instances} == subclasses(StegadaptError) - {StegadaptError}
+    for exc in instances:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(exc, protocol=protocol))
+            assert type(again) is type(exc) and str(again) == str(exc)
+            for field in ("line", "step", "stage", "path"):
+                assert getattr(again, field, None) == getattr(exc, field, None)
+
+
+def test_forked_map_deals_items_round_robin_and_keeps_their_order(monkeypatch):
+    _cpus(monkeypatch, 3)
+    results = _forked_map(lambda item: (item, os.getpid()), list(range(7)))
+    assert [item for item, _ in results] == list(range(7))
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[3] == pids[6] == os.getpid()
+    assert pids[1] == pids[4] and pids[2] == pids[5]
+    assert len({pids[0], pids[1], pids[2]}) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_map_reports_a_child_that_ends_without_a_result(monkeypatch):
+    from stegadapt.errors import StegadaptError
+
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    with pytest.raises(StegadaptError, match="ended without a result"):
+        _forked_map(lambda item: item if os.getpid() == parent else os._exit(3), [0, 1])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_map_stays_in_process_with_one_cpu_or_another_thread(monkeypatch):
+    _cpus(monkeypatch, 1)
+    assert _forked_map(lambda item: os.getpid(), [0, 1]) == [os.getpid()] * 2
+    _cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _forked_map(lambda item: os.getpid(), [0, 1]) == [os.getpid()] * 2
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_in_process_domain_error_kills_and_reaps_the_forked_child(tiny_cfg, tmp_path, monkeypatch):
+    from stegadapt import experiment
+    from stegadapt.errors import CapacityError
+
+    started = tmp_path / "child.pid"
+
+    def build(texts, tag, *args):
+        if tag == "S":  # the second tag, generated in the child: report in and never finish
+            (tmp_path / "child.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "child.tmp", started)
+            time.sleep(60)
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:  # fail once the child is running
+            time.sleep(0.01)
+        raise CapacityError(f"no room for domain {tag}")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "build_domain_dataset", build)
+    begin = time.monotonic()
+    with pytest.raises(CapacityError, match="no room for domain F"):
+        prepare_data(tiny_cfg, tmp_path / "cache")
+    assert time.monotonic() - begin < 30
+    child = int(started.read_text())
+    assert child != os.getpid()
+    with pytest.raises(ProcessLookupError):  # killed, not waited for, and reaped
+        os.kill(child, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list((tmp_path / "cache").rglob("COMPLETE"))
+
+
+def test_one_cpu_prints_the_forked_runs_dataset_digest_lines(tiny_config_dict, tmp_path, monkeypatch, capsys):
+    import dataset_digest
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config_dict))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    printed = {}
+    for n in (2, 1):
+        _cpus(monkeypatch, n)
+        dataset_digest.main([str(config)])
+        printed[n] = (capsys.readouterr().out, len(forks))
+    assert printed[1][0] == printed[2][0] and printed[1][0].count("\n") == 3
+    assert [printed[2][1], printed[1][1]] == [1, 1]  # the forked run forked once, the one-CPU run not at all
 
 
 # Every span name the benchmark's traced mode reports, from the names its

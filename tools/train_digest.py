@@ -8,22 +8,28 @@ heads, exactly as configured. The digest covers each stage's log (floats as
 probabilities, so two commits whose digests agree train bit-identical
 models. Run from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/train_digest.py configs/quick.json
+    PYTHONPATH=src python3 tools/train_digest.py configs/quick.json
 
 It prints one line per variant and a last line for all of them. The bits
-depend on the numpy/BLAS build and the BLAS thread count, so only digests
-taken on the same build and thread count compare. Nothing is read from or
-written to a cache.
+depend on the numpy/BLAS build and the BLAS thread count, so the tool sets
+the BLAS thread count to one before numpy loads, and only digests taken on
+the same build compare. Nothing is read from or written to a cache.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
+import os
 
-from stegadapt.config import load_config
-from stegadapt.experiment import TaskSpec, adapt_stage, prepare_data, pretrain_stage, task_pairs
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:  # before numpy loads, so BLAS starts single-threaded
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+
+from stegadapt.config import load_config  # noqa: E402
+from stegadapt.experiment import TaskSpec, adapt_stage, prepare_data, pretrain_stage, task_pairs  # noqa: E402
 
 VARIANTS = ("none", "w-FF", "w-SLB")
 
