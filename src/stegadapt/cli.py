@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return _HANDLERS[args.command](cfg, args)
-    except (StegadaptError, ValueError, FileNotFoundError) as exc:
+    except (StegadaptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

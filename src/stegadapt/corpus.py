@@ -164,9 +164,6 @@ class Vocab:
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.token_to_id.get(t, UNK) for t in tokens)
 
-    def decode(self, ids: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.id_to_token[i] for i in ids)
-
     def to_json(self) -> str:
         return json.dumps({"tokens": list(self.id_to_token)}, sort_keys=True)
 
@@ -280,8 +277,9 @@ _SPLIT_ROLES = (
 class DomainDataset:
     """Train/val/test cover and stego samples for one domain.
 
-    Cover ids are pairwise disjoint across the three splits, and val/test are
-    class balanced; both are checked at construction.
+    Every sample id appears once across the six parts, so cover ids are
+    disjoint across the three splits, and val/test are class balanced; both
+    are checked at construction.
     """
 
     domain: str
@@ -295,23 +293,14 @@ class DomainDataset:
     def __post_init__(self):
         for _, _, name in _SPLIT_ROLES:
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        cover_ids = [
-            {s.id for s in self.train_cover},
-            {s.id for s in self.val_cover},
-            {s.id for s in self.test_cover},
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                overlap = cover_ids[i] & cover_ids[j]
-                if overlap:
-                    raise IntegrityError(f"cover ids shared across splits: {sorted(overlap)[:5]}")
+        counts = Counter(s.id for part in self._parts() for s in part)
+        if len(counts) != sum(counts.values()):
+            shared = [sid for sid, n in counts.items() if n > 1][:5]
+            raise IntegrityError(f"sample ids appear more than once in the dataset: {shared}")
         if len(self.val_cover) != len(self.val_stego):
             raise IntegrityError("val split is not class balanced")
         if len(self.test_cover) != len(self.test_stego):
             raise IntegrityError("test split is not class balanced")
-        all_ids = [s.id for part in self._parts() for s in part]
-        if len(all_ids) != len(set(all_ids)):
-            raise IntegrityError("duplicate sample ids inside the dataset")
 
     def _parts(self):
         return tuple(getattr(self, name) for _, _, name in _SPLIT_ROLES)

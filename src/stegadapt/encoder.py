@@ -44,8 +44,6 @@ def sinusoidal_positions(length: int, d_h: int) -> np.ndarray:
 class BuiltinEncoder:
     """Embedding table plus positions; the trainable half of the frozen contract."""
 
-    kind = "builtin"
-
     def __init__(self, config: EncoderConfig, vocab_size: int | None, table: np.ndarray | None = None):
         if config.kind != "builtin":
             raise ValueError("config.kind must be 'builtin'")
@@ -113,8 +111,6 @@ class BuiltinEncoder:
 
 class PrecomputedEncoder:
     """Serves stored per-sample feature matrices, keyed by sample id."""
-
-    kind = "precomputed"
 
     def __init__(self, config: EncoderConfig, store: dict[str, np.ndarray] | None):
         if config.kind != "precomputed":

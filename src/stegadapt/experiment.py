@@ -191,7 +191,7 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     are generated side by side through ``_forked_map``, and this process
     alone writes the cache. A ``vocab.json`` in any ``dataset_dirs`` directory is the shared
     vocabulary (they must agree), and it encodes every directory's ``text``
-    records and surface tokens.
+    records and surface tokens; without one, the builtin encoder refuses them.
     """
     # Looked up at call time: the benchmark's traced mode patches corpus.build_vocab,
     # and test_benchmark_trace_bindings_exist fails if this import is hoisted.
@@ -209,7 +209,10 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
             vocab = loaded
     for tag, dirname in sorted(cfg.data.dataset_dirs.items()):
         directory = Path(dirname)
-        datasets[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl", vocab=vocab)
+        ds = datasets[tag] = dataset_from_jsonl(directory / "samples.jsonl", directory / "splits.jsonl", vocab=vocab)
+        if vocab is None and cfg.encoder.kind == "builtin":
+            if any(type(s.tokens[0]) is str for s in ds.train + ds.val + ds.test):
+                raise CorpusError(f"{directory}: surface tokens need a vocab.json under the builtin encoder")
 
     generated_tags = [t for t in cfg.data.domain_tags() if t not in datasets]
     cache_root = None

@@ -238,7 +238,6 @@ class BatchTrace:
     pooled_raw: np.ndarray   # mean over valid steps, (B, 2h)
     dropout_mask: np.ndarray | None
     pooled: np.ndarray       # classifier input (post dropout in train mode)
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -317,7 +316,6 @@ def forward_batch(
         pooled_raw=pooled_raw,
         dropout_mask=dropout_mask,
         pooled=pooled,
-        logits=logits,
         probs=probs,
     )
 
@@ -465,7 +463,7 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[Mapping[str, np.ndarray], AdamState]:
+) -> None:
     """Bias-corrected Adam, updating the parameter arrays in place.
 
     Each gradient is cast to its parameter's dtype first, so a float32
@@ -485,4 +483,3 @@ def adam_step(
         v *= beta2
         v += (1.0 - beta2) * np.square(grad)
         tensor -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
-    return params, state

@@ -2,7 +2,7 @@
 
 Checkpoints are numpy ``.npz`` archives holding every head tensor, the
 builtin encoder's embedding table, and a JSON metadata record with the
-component configs and their hashes. Restoring a checkpoint reproduces
+component configs. Restoring a checkpoint reproduces
 eval-mode forward outputs bit for bit; a file that cannot be restored raises
 :class:`~stegadapt.errors.CheckpointError`.
 """
@@ -107,13 +107,6 @@ class Classifier:
             return probs, np.concatenate(pooled, axis=0)
         return probs
 
-    def component_hashes(self) -> dict[str, str]:
-        enc = self.encoder.config
-        return {
-            "encoder": config_hash({"kind": enc.kind, "d_h": enc.d_h}),
-            "head": config_hash(asdict(self.head.config)),
-        }
-
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:
     """Argmax with the fixed tie rule: equal probabilities resolve to cover."""
@@ -132,7 +125,6 @@ def save_checkpoint(path: str | Path, model: Classifier, extra: dict | None = No
         "head_config": asdict(model.head.config),
         "encoder_config": asdict(enc.config),
         "vocab_size": getattr(enc, "vocab_size", None),
-        "hashes": model.component_hashes(),
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {f"head.{k}": v for k, v in model.head.tensors.items()}

@@ -65,11 +65,11 @@ class MarkovLM:
     positive probability. It is built once, by :func:`fit_lm`, from ``counts``
     (context -> next id -> count), and is immutable: neither ``counts`` nor
     the per-context tables derived from them, nor the smoothing mass
-    ``alpha * len(support)``, change afterwards. A context is keyed by
-    :meth:`_context_key`: the last ``order`` ids, padded with BOS. The
-    step-code table ``_step_codes`` is derived state too: it is filled by
-    :func:`_step_code` as contexts are visited, so it grows with them, and
-    none of its entries can go stale.
+    ``alpha * len(support)``, change afterwards. Every query takes a context
+    key: the last ``order`` ids, padded with BOS; ``start`` is the empty
+    history's. The step-code table ``_step_codes`` is derived state too: it
+    is filled by :func:`_step_code` as contexts are visited, so it grows
+    with them, and none of its entries can go stale.
     """
 
     def __init__(self, order: int, alpha: float, vocab: Vocab, counts: dict[tuple[int, ...], dict[int, int]]):
@@ -81,6 +81,7 @@ class MarkovLM:
         self.alpha = float(alpha)
         self.vocab = vocab
         self.counts = counts
+        self.start = (BOS,) * order
         self._ctx: dict[tuple[int, ...], _CtxStats] = {}
         for ctx, bucket in counts.items():
             ids = tuple(sorted(bucket))
@@ -93,17 +94,12 @@ class MarkovLM:
         self._support_no_eos = tuple(i for i in support if i != EOS)
         self._smoothing = self.alpha * len(self.support)
 
-    def _context_key(self, history: Sequence[int]) -> tuple[int, ...]:
-        tail = tuple(map(int, history[-self.order :]))
-        return (BOS,) * (self.order - len(tail)) + tail
-
-    def ranked_candidates(self, history: Sequence[int], n: int) -> list[int]:
-        """Top-n next tokens other than EOS by probability desc, ties by id asc.
+    def ranked_candidates(self, key: tuple[int, ...], n: int) -> list[int]:
+        """Top-n next tokens other than EOS after the context ``key``, by probability desc, ties by id asc.
 
         With smoothing every supported token is a candidate; with alpha == 0
         only observed continuations qualify.
         """
-        key = self._context_key(history)
         stats = self._ctx.get(key)
         ranked = list(stats.ranked[:n]) if stats is not None else []
         if self.alpha > 0 and len(ranked) < n:
@@ -115,9 +111,8 @@ class MarkovLM:
                         break
         return ranked
 
-    def step_probs(self, history: Sequence[int], ids: Sequence[int]) -> np.ndarray:
-        """Smoothed probabilities of specific ids in this context."""
-        key = self._context_key(history)
+    def step_probs(self, key: tuple[int, ...], ids: Sequence[int]) -> np.ndarray:
+        """Smoothed probabilities of specific ids after the context ``key``."""
         stats = self._ctx.get(key)
         total = stats.cum[-1] if stats else 0
         denom = total + self._smoothing
@@ -156,8 +151,9 @@ def fit_lm(sequences: Iterable[Sequence[int]], vocab: Vocab, order: int = 2, alp
     return MarkovLM(order, alpha, vocab, counts)
 
 
-def _sample(lm: MarkovLM, tokens: list[int], max_len: int, rng: np.random.Generator) -> tuple[int, ...]:
-    key = lm._context_key(tokens)
+def _sample(
+    lm: MarkovLM, key: tuple[int, ...], tokens: list[int], max_len: int, rng: np.random.Generator
+) -> tuple[int, ...]:
     while len(tokens) < max_len:
         tok = lm.sample_next(key, rng)
         if tok == EOS:
@@ -169,7 +165,7 @@ def _sample(lm: MarkovLM, tokens: list[int], max_len: int, rng: np.random.Genera
 
 def sample_cover(lm: MarkovLM, max_len: int, seed) -> tuple[int, ...]:
     """Ancestral sample until EOS or ``max_len`` tokens; deterministic by seed."""
-    return _sample(lm, [], max_len, np.random.default_rng(seed))
+    return _sample(lm, lm.start, [], max_len, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +235,12 @@ def _step_code(lm: MarkovLM, key: tuple[int, ...], bpw: int, coding: str, bits_l
     depends only on the context, ``bpw``, the coding and, for FLC,
     ``min(bpw, bits_left)``; it is built on the first visit and then read
     from the table. A context with no candidates raises ``ValueError`` on
-    every visit and stores nothing. ``key`` is a :meth:`MarkovLM._context_key`.
+    every visit and stores nothing. ``key`` is a context key of ``lm``.
     """
     entry = (key, bpw, coding, min(bpw, bits_left) if coding == "flc" else 0)
     step = lm._step_codes.get(entry)
     if step is not None:
         return step
-    # A key is its own context (lm._context_key(key) == key), so it stands in for a history.
     cands = lm.ranked_candidates(key, 1 << bpw)
     if not cands:
         raise ValueError("no embedding candidates in this context")
@@ -267,7 +262,7 @@ def _embed(lm: MarkovLM, payload: Sequence[int], bpw: int, coding: str, max_len:
     if any(b not in (0, 1) for b in payload):
         raise ValueError("payload must be 0/1 bits")
     tokens: list[int] = []
-    key = lm._context_key(())
+    key = lm.start
     pos = steps = degraded = 0
     while len(tokens) < max_len and pos < len(payload):
         step = _step_code(lm, key, bpw, coding, len(payload) - pos)
@@ -280,7 +275,7 @@ def _embed(lm: MarkovLM, payload: Sequence[int], bpw: int, coding: str, max_len:
         key = key[1:] + (tok,)
         steps += 1
         degraded += step.degraded
-    return StegoResult(_sample(lm, tokens, max_len, np.random.default_rng(seed)), pos, steps, degraded)
+    return StegoResult(_sample(lm, key, tokens, max_len, np.random.default_rng(seed)), pos, steps, degraded)
 
 
 def embed_flc(lm: MarkovLM, payload: Sequence[int], bpw: int, max_len: int, seed) -> StegoResult:
@@ -318,7 +313,7 @@ def extract_bits(
     if n_bits < 0:
         raise ValueError("payload length must be >= 0")
     out: list[int] = []
-    key = lm._context_key(())
+    key = lm.start
     for step, tok in enumerate(tokens):
         if len(out) >= n_bits:
             break

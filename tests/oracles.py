@@ -145,15 +145,19 @@ def loss_ce(pred, label: int) -> float:
     return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
 
 
+def context_key(lm, history) -> tuple[int, ...]:
+    """The LM's context key after ``history``: its last ``order`` ids, padded with BOS."""
+    return ((BOS,) * lm.order + tuple(int(t) for t in history))[-lm.order :]
+
+
 def next_distribution(lm, history) -> tuple[np.ndarray, np.ndarray]:
     """The LM's full smoothed next-token distribution (ids, probs) after ``history``."""
-    return lm.support.copy(), lm.step_probs(history, lm.support)
+    return lm.support.copy(), lm.step_probs(context_key(lm, history), lm.support)
 
 
 def _raw_context(lm, history) -> dict[int, int]:
-    """The raw next-token counts after ``history``, its last ``order`` ids padded with BOS."""
-    context = ((BOS,) * lm.order + tuple(int(t) for t in history))[-lm.order :]
-    return lm.counts.get(context, {})
+    """The raw next-token counts after ``history``."""
+    return lm.counts.get(context_key(lm, history), {})
 
 
 def inverse_cdf_next(lm, history, u: float) -> int:

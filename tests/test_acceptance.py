@@ -183,6 +183,7 @@ BENCHMARK_CONFIG = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_07_desk_scale_adaptation_benchmark():
     start = time.monotonic()
     cfg = config_from_dict(json.loads(json.dumps(BENCHMARK_CONFIG)))

@@ -164,6 +164,23 @@ def test_missing_config_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "corpus-is-a-directory", "out-dir-is-a-file"])
+def test_path_of_the_wrong_kind_reports_error(tmp_path, capsys, tiny_config_dict, case):
+    data = tiny_config_dict["data"]
+    if case == "corpus-is-a-directory":
+        data = {**data, "domains": {**data["domains"], "S": str(tmp_path)}}
+    config, out, named = tmp_path / "config.json", tmp_path / "out", tmp_path
+    config.write_text(json.dumps({**tiny_config_dict, "data": data}))
+    if case == "config-is-a-directory":
+        config = tmp_path
+    elif case == "out-dir-is-a-file":
+        out = named = tmp_path / "README.md"
+        out.write_text("not a directory\n")
+    assert main(["gen-data", "-c", str(config), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(named) in err
+
+
 def test_unknown_config_key_reports_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"data": {"domains": {"A": "x"}, "typo_key": 1}}))
@@ -274,7 +291,7 @@ def test_dataset_dirs_text_records_use_the_shared_vocab(tmp_path, tiny_config_di
             if form == "text":
                 records = [json.loads(line) for line in (directory / "samples.jsonl").read_text().splitlines()]
                 for rec in records:
-                    rec["text"] = " ".join(data.vocab.decode(rec.pop("tokens")))
+                    rec["text"] = " ".join(data.vocab.id_to_token[i] for i in rec.pop("tokens"))
                 (directory / "samples.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
             dirs[tag] = str(directory)
         config = tmp_path / f"{form}.json"
@@ -283,6 +300,43 @@ def test_dataset_dirs_text_records_use_the_shared_vocab(tmp_path, tiny_config_di
         assert _run(config, out, "pretrain", "--source", "S", "--target", "F", "--seed", "0") == 0
         logs[form] = (out / "runs" / "S__F" / "none" / "seed0" / "pretrain_log.jsonl").read_bytes()
     assert logs["text"] == logs["tokens"]
+
+
+def test_text_dataset_dir_without_vocab_stops_the_builtin_encoder(tmp_path, capsys, tiny_config_dict):
+    """Text records with no ``vocab.json``, beside generated domains: the builtin encoder
+    refuses them before training, naming the directory, and a feature store still reads them."""
+    import numpy as np
+
+    from feature_store import save_precomputed
+    from stegadapt.config import config_from_dict
+    from stegadapt.corpus import dataset_to_jsonl
+    from stegadapt.experiment import prepare_data
+
+    data = prepare_data(config_from_dict(tiny_config_dict))
+    directory = tmp_path / "X"
+    dataset_to_jsonl(data.datasets["S"], directory / "samples.jsonl", directory / "splits.jsonl")
+    records = [json.loads(line) for line in (directory / "samples.jsonl").read_text().splitlines()]
+    for rec in records:
+        rec["text"] = " ".join(data.vocab.id_to_token[i] for i in rec.pop("tokens"))
+    (directory / "samples.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    sections = {**tiny_config_dict, "data": {**tiny_config_dict["data"], "dataset_dirs": {"X": str(directory)}}}
+    config = tmp_path / "builtin.json"
+    config.write_text(json.dumps(sections))
+    task = ("--source", "X", "--target", "F", "--seed", "0")
+    assert _run(config, tmp_path / "out", "pretrain", *task) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {directory}: ") and "vocab.json" in err
+    assert not (tmp_path / "out" / "runs").exists()
+
+    d_h = tiny_config_dict["encoder"]["d_h"]
+    rng = np.random.default_rng(0)
+    samples = [s for ds in data.datasets.values() for s in ds.train + ds.val + ds.test]
+    save_precomputed({s.id: rng.normal(size=(len(s.tokens), d_h)) for s in samples}, d_h, tmp_path / "features.jsonl")
+    encoder = {"kind": "precomputed", "d_h": d_h, "features_path": str(tmp_path / "features.jsonl")}
+    config = tmp_path / "precomputed.json"
+    config.write_text(json.dumps({**sections, "encoder": encoder}))
+    assert _run(config, tmp_path / "out", "pretrain", *task) == 0
+    assert (tmp_path / "out" / "runs" / "X__F" / "none" / "seed0" / "pretrain.npz").exists()
 
 
 @pytest.mark.parametrize("payload", ["{}", "[]", '{"tokens": 5}'], ids=["empty-object", "list", "tokens-not-a-list"])

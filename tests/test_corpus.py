@@ -116,7 +116,7 @@ def test_build_vocab_rejects_empty_corpus():
 def test_vocab_roundtrip_identity(texts):
     vocab = build_vocab(texts, min_freq=1)
     for text in texts:
-        assert list(vocab.decode(vocab.encode(text))) == text
+        assert [vocab.id_to_token[i] for i in vocab.encode(text)] == text
 
 
 def test_vocab_json_roundtrip():
@@ -302,7 +302,7 @@ def test_split_cover_ids_disjoint(seed, n):
 
 def test_dataset_rejects_overlapping_covers():
     shared = TextSample(id="dup", tokens=(4,), label=COVER, domain="M")
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"\['dup'\]"):
         DomainDataset(
             domain="M",
             train_cover=(shared,),
@@ -310,6 +310,21 @@ def test_dataset_rejects_overlapping_covers():
             val_cover=(shared,),
             val_stego=(TextSample(id="s2", tokens=(4,), label=STEGO, domain="M", bpw=1),),
             test_cover=(),
+            test_stego=(),
+        )
+
+
+def test_dataset_names_at_most_five_repeated_ids_in_first_seen_order():
+    covers = tuple(TextSample(id=f"c{i}", tokens=(4,), label=COVER, domain="M") for i in range(7))
+    stegos = tuple(TextSample(id=f"s{i}", tokens=(4,), label=STEGO, domain="M", bpw=1) for i in range(2))
+    with pytest.raises(IntegrityError, match=r"\['c1', 'c2', 'c3', 'c4', 'c5'\]$"):
+        DomainDataset(
+            domain="M",
+            train_cover=covers[1:] + covers[:1],
+            train_stego=stegos,
+            val_cover=(),
+            val_stego=(),
+            test_cover=covers[6:0:-1],  # c6 .. c1 again: six repeated, c0 and the stegos once
             test_stego=(),
         )
 

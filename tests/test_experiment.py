@@ -4,8 +4,12 @@ import builtins
 import json
 import os
 import pickle
+import re
+import subprocess
+import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -380,16 +384,16 @@ def test_run_ablation_shapes_and_shared_pretrain(tiny_cfg, tiny_data):
 
 
 def test_ablation_isolation_hashes(tiny_cfg, tiny_data):
-    hashes = {
-        name: build_model(tiny_cfg, tiny_data, TaskSpec(source="S", target="F", ablation=name), seed=0).component_hashes()
+    models = {
+        name: build_model(tiny_cfg, tiny_data, TaskSpec(source="S", target="F", ablation=name), seed=0)
         for name in ABLATIONS
     }
-    assert hashes["none"]["encoder"] == hashes["w-FF"]["encoder"] == hashes["w-SLB"]["encoder"]
-    assert hashes["none"]["head"] == hashes["w-PL"]["head"]
-    assert hashes["w-FF"]["head"] != hashes["none"]["head"]
-    assert hashes["w-SLB"]["head"] != hashes["none"]["head"]
-    changed = [v for v in ("w-FF", "w-SLB") if hashes[v]["head"] != hashes["none"]["head"]]
-    assert changed == ["w-FF", "w-SLB"]
+    encoders = {name: model.encoder.config for name, model in models.items()}
+    heads = {name: asdict(model.head.config) for name, model in models.items()}
+    assert encoders["none"] == encoders["w-FF"] == encoders["w-SLB"] == encoders["w-PL"]
+    assert heads["none"] == heads["w-PL"]
+    changed = {v: {k for k in heads[v] if heads[v][k] != heads["none"][k]} for v in ("w-FF", "w-SLB")}
+    assert changed == {"w-FF": {"gate_bypass"}, "w-SLB": {"layers"}}
 
 
 def test_run_matrix_emits_all_pairs_with_rows(tiny_cfg):
@@ -615,3 +619,17 @@ def test_interrupted_artifact_write_keeps_the_old_file(write, tmp_path, monkeypa
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_train_digest_prints_the_same_four_lines_in_two_processes(tmp_path, tiny_config_dict):
+    """``tools/train_digest.py``, the same-bits gate for training changes, on the tiny config."""
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config_dict))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    command = [sys.executable, str(root / "tools" / "train_digest.py"), str(config)]
+    outputs = [subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout for _ in range(2)]
+    lines = outputs[0].splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["none", "w-FF", "w-SLB", "all"]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    assert outputs[1] == outputs[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.errors import CheckpointError
 from stegadapt.head import HeadConfig
-from stegadapt.model import Classifier, load_checkpoint, predicted_labels, save_checkpoint
+from stegadapt.model import Classifier, config_hash, load_checkpoint, predicted_labels, save_checkpoint
 from oracles import models_equal
 
 
@@ -79,7 +80,30 @@ def test_checkpoint_roundtrip_restores_bit_identical_outputs(tmp_path):
     assert before.tobytes() == after.tobytes()
     assert models_equal(model, restored)
     assert meta["extra"]["stage"] == "pretrain"
-    assert meta["hashes"] == model.component_hashes()
+    assert meta["head_config"] == asdict(model.head.config)
+    assert meta["encoder_config"] == asdict(model.encoder.config)
+    assert "hashes" not in meta
+
+
+def test_checkpoint_with_component_hashes_in_its_meta_still_loads(tmp_path):
+    """Earlier files also hold a ``hashes`` entry, which loading never read."""
+    model = _model(seed=5)
+    samples = _samples(9, seed=2)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["hashes"] = {
+        "encoder": config_hash({"kind": "builtin", "d_h": model.encoder.d_h}),
+        "head": config_hash(asdict(model.head.config)),
+    }
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    restored, loaded = load_checkpoint(path)
+    assert loaded["hashes"] == meta["hashes"]
+    assert models_equal(model, restored)
+    assert restored.predict(samples, 4).tobytes() == model.predict(samples, 4).tobytes()
 
 
 def test_checkpoint_without_optimizer(tmp_path):
@@ -140,5 +164,5 @@ def test_interrupted_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
 def test_component_hashes_isolate_ablated_field():
     base = _model(seed=0)
     gated_off = _model(seed=0, gate_bypass=True)
-    assert base.component_hashes()["encoder"] == gated_off.component_hashes()["encoder"]
-    assert base.component_hashes()["head"] != gated_off.component_hashes()["head"]
+    assert base.encoder.config == gated_off.encoder.config
+    assert replace(base.head.config, gate_bypass=True) == gated_off.head.config != base.head.config

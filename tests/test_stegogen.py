@@ -31,6 +31,7 @@ from codec_digest import codec_digests, fit_harbor_lm
 from dataset_digest import dataset_digest
 from oracles import (
     codebook_weighted_length,
+    context_key,
     inverse_cdf_next,
     next_distribution,
     optimal_prefix_weighted_length,
@@ -155,7 +156,7 @@ def test_sample_next_matches_inverse_cdf_oracle(letter_texts, order, alpha):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         history: list[int] = []
         while len(history) < 24:
-            tok = lm.sample_next(lm._context_key(history), rng)
+            tok = lm.sample_next(context_key(lm, history), rng)
             assert tok == inverse_cdf_next(lm, history, twin.random())
             if tok == EOS:
                 break
@@ -196,7 +197,7 @@ def test_sample_next_on_cdf_boundaries_matches_oracle():
     a, b, c = vocab.encode(["a", "b", "c"])
     lm = _lm_from_counts(vocab, {(BOS,): {a: 1, b: 1, c: 2}})
     for u in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 0.9375):
-        assert lm.sample_next(lm._context_key([]), _FixedUniforms([u])) == inverse_cdf_next(lm, [], u)
+        assert lm.sample_next(lm.start, _FixedUniforms([u])) == inverse_cdf_next(lm, [], u)
 
 
 @pytest.mark.parametrize("order, alpha", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)])
@@ -207,7 +208,7 @@ def test_ranked_candidates_matches_sort_oracle(letter_texts, order, alpha):
     for _ in range(300):
         history = rng.choice(ids, size=int(rng.integers(0, 4))).tolist()  # unseen contexts included
         for n in (1, 2, 4, 8, 32):
-            assert lm.ranked_candidates(history, n) == sorted_candidates(lm, history, n)
+            assert lm.ranked_candidates(context_key(lm, history), n) == sorted_candidates(lm, history, n)
 
 
 # Taken from the generator before its per-context tables became Python lists;
@@ -306,7 +307,7 @@ def _ranked_lm(vocab, counts_desc):
 def test_ranked_candidates_order_and_tie_rule():
     vocab = _vocab("pqrs")
     lm = _ranked_lm(vocab, {"p": 5, "q": 3, "r": 3, "s": 1})
-    ranked = lm.ranked_candidates([], 4)
+    ranked = lm.ranked_candidates(lm.start, 4)
     p, q, r, s = vocab.encode(["p", "q", "r", "s"])
     assert ranked == [p, q, r, s]  # q before r: equal counts, smaller id wins
 
@@ -314,7 +315,7 @@ def test_ranked_candidates_order_and_tie_rule():
 def test_embed_flc_indexes_pool_big_endian():
     vocab = _vocab("pqrs")
     lm = _ranked_lm(vocab, {"p": 8, "q": 4, "r": 2, "s": 1})
-    t2 = lm.ranked_candidates([], 4)[2]
+    t2 = lm.ranked_candidates(lm.start, 4)[2]
     result = embed_flc(lm, [1, 0], bpw=2, max_len=8, seed=0)
     assert result.tokens[0] == t2
     assert result.bits_consumed == 2
@@ -344,7 +345,7 @@ def test_embed_flc_degrades_small_pools_to_power_of_two():
     result = embed_flc(lm, [1, 1], bpw=2, max_len=8, seed=0)
     assert result.degraded_steps >= 1
     # Each degraded step consumes 1 bit from a 2-candidate pool.
-    assert result.tokens[0] == lm.ranked_candidates([], 2)[1]
+    assert result.tokens[0] == lm.ranked_candidates(lm.start, 2)[1]
     bits = extract_bits(lm, result.tokens, "flc", bpw=2, n_bits=result.bits_consumed)
     assert bits == [1, 1][: result.bits_consumed]
 
@@ -508,7 +509,7 @@ def test_roundtrip_property_and_pool_membership(roundtrip_lm, bpw, data):
     # Every embedded token sits inside its step's candidate pool.
     history = []
     for tok in res.tokens[: res.embed_steps]:
-        pool = roundtrip_lm.ranked_candidates(history, 1 << bpw)
+        pool = roundtrip_lm.ranked_candidates(context_key(roundtrip_lm, history), 1 << bpw)
         assert tok in pool
         history.append(tok)
 
@@ -552,9 +553,9 @@ def test_warm_step_code_table_matches_a_fresh_lm(letter_texts, order, alpha):
             history = rng.choice(ids, size=int(rng.integers(0, 4))).tolist()
         bpw, coding, bits_left = int(rng.integers(1, 6)), CODINGS[int(rng.integers(2))], int(rng.integers(1, 7))
         size = len(warm._step_codes)
-        got = _step_or_error(warm, warm._context_key(history), bpw, coding, bits_left)
+        got = _step_or_error(warm, context_key(warm, history), bpw, coding, bits_left)
         hits += len(warm._step_codes) == size and not isinstance(got, str)
-        assert got == _step_or_error(fresh, fresh._context_key(history), bpw, coding, bits_left)
+        assert got == _step_or_error(fresh, context_key(fresh, history), bpw, coding, bits_left)
     assert hits >= 100
     for step in warm._step_codes.values():
         assert step.by_code == {code: tok for tok, code in step.codes.items()}
@@ -565,7 +566,7 @@ def test_flc_narrowed_and_full_width_codes_of_one_context_stay_apart():
     vocab = _vocab("pqrs")
     lm = _ranked_lm(vocab, {"p": 8, "q": 4, "r": 2, "s": 1})
     p, q, r, s = vocab.encode(["p", "q", "r", "s"])
-    start = lm._context_key([])
+    start = lm.start
     narrow = _step_code(lm, start, 2, "flc", 1)
     full = _step_code(lm, start, 2, "flc", 2)
     assert narrow.codes == {p: (0,), q: (1,)} and narrow.by_code == {(0,): p, (1,): q}
@@ -587,11 +588,11 @@ def test_context_without_candidates_raises_every_time_and_stores_nothing(coding)
     p, q = vocab.encode(["p", "q"])
     lm = _lm_from_counts(vocab, {(BOS,): {p: 2, q: 1}, (p,): {EOS: 1}, (q,): {p: 1}})
     embed = embed_flc if coding == "flc" else embed_vlc
-    start = _step_code(lm, lm._context_key([]), 1, coding, 1)
+    start = _step_code(lm, lm.start, 1, coding, 1)
     assert start.codes == {p: (0,), q: (1,)}
     for _ in range(3):
         with pytest.raises(ValueError, match="no embedding candidates"):
-            _step_code(lm, lm._context_key([p]), 1, coding, 1)
+            _step_code(lm, (p,), 1, coding, 1)
         with pytest.raises(ValueError, match="no embedding candidates"):
             embed(lm, [0, 0], bpw=1, max_len=8, seed=0)  # bit 0 picks p, whose context has none
         assert list(lm._step_codes.values()) == [start]
