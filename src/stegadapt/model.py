@@ -1,5 +1,9 @@
 """Encoder + head bundle, batched inference, and checkpoint files.
 
+Inference forks per call: :meth:`Classifier.predict` deals its batches over
+at most one process per usable CPU through ``parallel._forked_map`` and
+returns the same bits as one process computing every batch in order.
+
 Checkpoints are numpy ``.npz`` archives holding every head tensor, the
 builtin encoder's embedding table, and a JSON metadata record with the
 component configs. Restoring a checkpoint reproduces
@@ -22,6 +26,7 @@ from .corpus import TextSample, atomic_open
 from .encoder import BuiltinEncoder, EncoderConfig, PrecomputedEncoder
 from .errors import CheckpointError
 from .head import HeadConfig, HeadParams, forward_batch, init_params
+from .parallel import _forked_map
 
 CHECKPOINT_VERSION = 2
 COMPUTE_DTYPE = np.float32
@@ -91,21 +96,25 @@ class Classifier:
         """Eval-mode class probabilities (float64) for many samples, in input order.
 
         With ``return_pooled`` the pooled features come back too, in the
-        compute dtype.
+        compute dtype. The batches are ``batch_size`` consecutive samples,
+        dealt over this process and forked children by ``_forked_map``; each
+        batch is computed alone, so the bits do not depend on where it ran.
+        With one CPU or one batch, without ``os.fork``, while other threads
+        run or inside another map, every batch runs in this process.
         """
         if not samples:
             raise ValueError("predict needs at least one sample")
         head = self.compute_head()
-        probs = []
-        pooled = []
-        for start in range(0, len(samples), batch_size):
+
+        def batch(start: int):
             trace, _ = self.forward_samples(samples[start : start + batch_size], head, mode="eval")
-            probs.append(trace.probs)
-            pooled.append(trace.pooled_raw)
-        probs = np.concatenate(probs, axis=0)
+            return (trace.probs, trace.pooled_raw) if return_pooled else trace.probs
+
+        outputs = _forked_map(batch, range(0, len(samples), batch_size))
         if return_pooled:
-            return probs, np.concatenate(pooled, axis=0)
-        return probs
+            probs, pooled = zip(*outputs)
+            return np.concatenate(probs, axis=0), np.concatenate(pooled, axis=0)
+        return np.concatenate(outputs, axis=0)
 
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:

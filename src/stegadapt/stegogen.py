@@ -22,6 +22,7 @@ import bisect
 import heapq
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -36,6 +37,9 @@ CODINGS = ("flc", "vlc")
 # The version of the generated data: the data cache's key and each manifest.json
 # hold it, so bump it with any change that alters what generation produces.
 GENERATION_VERSION = 1
+# A domain tag names directories and joins run names with "__", so it is
+# letters and digits, joined by single "-" or "_".
+DOMAIN_TAG = re.compile(r"[A-Za-z0-9]+([-_][A-Za-z0-9]+)*")
 
 
 @dataclass
@@ -371,6 +375,9 @@ class DataConfig:
             raise ValueError(f"data.payload_bits must be a pair [lo, hi], got {list(self.payload_bits)}")
         if not self.domains and not self.dataset_dirs:
             raise ValueError("config needs data.domains (corpus files) or data.dataset_dirs")
+        for tag in self.domain_tags():
+            if not DOMAIN_TAG.fullmatch(tag):
+                raise ValueError(f"data domain tag {tag!r} must match {DOMAIN_TAG.pattern}")
         try:
             _check_codec(self.bpw, self.coding)
         except ValueError as exc:

@@ -134,8 +134,13 @@ def test_export_features_writes_projection(workspace):
 
 
 def test_export_features_predicts_in_eval_batch_size(tmp_path, monkeypatch, tiny_config_dict):
-    """Eight validation samples at ``train.eval_batch_size`` 3 go through the model as 3 + 3 + 2."""
+    """Eight validation samples at ``train.eval_batch_size`` 3 go through the model as 3 + 3 + 2.
+
+    One CPU keeps every batch in this process, where the patch sees it.
+    """
     from stegadapt.model import Classifier
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     config = _with_train(tmp_path, tiny_config_dict, eval_batch_size=3)
     out = tmp_path / "out"
@@ -337,6 +342,49 @@ def test_text_dataset_dir_without_vocab_stops_the_builtin_encoder(tmp_path, caps
     config.write_text(json.dumps({**sections, "encoder": encoder}))
     assert _run(config, tmp_path / "out", "pretrain", *task) == 0
     assert (tmp_path / "out" / "runs" / "X__F" / "none" / "seed0" / "pretrain.npz").exists()
+
+
+def test_id_dataset_dir_without_vocab_beside_a_generated_domain_reports_error(tmp_path, capsys, tiny_config_dict):
+    """Token ids with no ``vocab.json``, beside a generated domain whose vocabulary would read them as other
+    words, stop the run before anything is written; with the ids' ``vocab.json`` beside them it runs."""
+    from stegadapt.config import config_from_dict
+    from stegadapt.corpus import dataset_to_jsonl
+    from stegadapt.experiment import prepare_data
+
+    data = prepare_data(config_from_dict(tiny_config_dict))
+    directory = tmp_path / "X"
+    dataset_to_jsonl(data.datasets["S"], directory / "samples.jsonl", directory / "splits.jsonl")
+    domains = {"F": tiny_config_dict["data"]["domains"]["F"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **tiny_config_dict, "data": {**tiny_config_dict["data"], "domains": domains, "dataset_dirs": {"X": str(directory)}},
+    }))
+    task = ("--source", "X", "--target", "F", "--seed", "0")
+    assert _run(config, tmp_path / "out", "pretrain", *task) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {directory}: token ids need a vocab.json") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+    (directory / "vocab.json").write_text(data.vocab.to_json() + "\n")
+    assert _run(config, tmp_path / "out", "pretrain", *task) == 0
+    assert (tmp_path / "out" / "runs" / "X__F" / "none" / "seed0" / "pretrain.npz").exists()
+
+
+def test_path_like_domain_tag_writes_nothing_outside_out_dir(tmp_path, capsys, tiny_config_dict):
+    """The tag ``../../escape`` would put its domain's cache and its run directory outside ``--out-dir``;
+    the config refuses it, so ``gen-data`` and ``pretrain`` end in ``error:`` having written nothing."""
+    sea = tiny_config_dict["data"]["domains"]["S"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **tiny_config_dict, "data": {**tiny_config_dict["data"], "domains": {"../../escape": sea, "F": sea}},
+    }))
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "out" / "a"
+    assert _run(config, out, "gen-data") == 1
+    assert _run(config, out, "pretrain", "--source", "../../escape", "--target", "F", "--seed", "0") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: data domain tag '../../escape' must match [A-Za-z0-9]+([-_][A-Za-z0-9]+)*"] * 2
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("payload", ["{}", "[]", '{"tokens": 5}'], ids=["empty-object", "list", "tokens-not-a-list"])

@@ -187,3 +187,15 @@ def test_data_only_config_takes_the_dataclass_defaults():
         train=TrainConfig(),
         eval=EvalConfig(),
     )
+
+
+@pytest.mark.parametrize("section", ["domains", "dataset_dirs"])
+@pytest.mark.parametrize("tag", ["../../escape", "a/b", "a.b", ".", "", "a__b", "-a", "a-", "a b", "é"])
+def test_domain_tag_outside_the_pattern_rejected(section, tag):
+    with pytest.raises(ValueError, match=f"data domain tag {re.escape(repr(tag))} must match"):
+        DataConfig(**{section: {tag: "x"}})
+
+
+def test_domain_tags_of_letters_digits_and_single_separators_accepted():
+    tags = ["H", "O", "T1", "news-2020", "web_text", "a-b_c"]
+    assert DataConfig(domains={tag: "x" for tag in tags}).domain_tags() == sorted(tags)

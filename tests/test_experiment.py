@@ -21,11 +21,11 @@ from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.head import HeadConfig
 from stegadapt.model import Classifier
+from stegadapt.parallel import _forked_map
 from stegadapt.experiment import (
     TaskResult,
     TaskSpec,
     ABLATIONS,
-    _forked_map,
     _save_stage,
     build_model,
     export_projection,
@@ -167,7 +167,7 @@ def test_prepare_data_checks_feature_store_width_on_warm_cache(tiny_config_dict,
 
 
 def _cpus(monkeypatch, n):
-    """Make ``n`` CPUs this process may run on, as far as ``prepare_data`` can tell."""
+    """Make ``n`` CPUs this process may run on, as far as ``_forked_map`` can tell."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -239,6 +239,24 @@ def test_forked_map_stays_in_process_with_one_cpu_or_another_thread(monkeypatch)
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_nested_forked_maps_run_in_the_calling_process(monkeypatch):
+    """A map inside another map's items, in this process's share or a child's, forks nothing more."""
+    _cpus(monkeypatch, 2)
+
+    def outer(item):
+        return os.getpid(), _forked_map(lambda inner: os.getpid(), [0, 1, 2])
+
+    results = _forked_map(outer, [0, 1])
+    assert results[0][0] == os.getpid() != results[1][0]
+    for pid, inner in results:
+        assert inner == [pid] * 3
+    with pytest.raises(ZeroDivisionError):  # a failed map leaves the next one free to fork
+        _forked_map(lambda item: 1 // item, [0, 1])
+    assert len(set(_forked_map(lambda item: os.getpid(), [0, 1]))) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_in_process_domain_error_kills_and_reaps_the_forked_child(tiny_cfg, tmp_path, monkeypatch):

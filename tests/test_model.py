@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
-from stegadapt.errors import CheckpointError
+from stegadapt.errors import CheckpointError, NumericError
 from stegadapt.head import HeadConfig
 from stegadapt.model import Classifier, config_hash, load_checkpoint, predicted_labels, save_checkpoint
 from oracles import models_equal
@@ -45,6 +46,56 @@ def test_predict_is_order_stable_and_batch_invariant():
     np.testing.assert_allclose(full, chunked, atol=1e-12)
     assert full.shape == (23, 2)
     np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_predict_on_two_cpus_is_bitwise_the_one_cpu_result(monkeypatch):
+    """Five batches dealt over this process and one forked child come back in input order, bit for bit."""
+    model = _model()
+    samples = _samples(23)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    results = {}
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        results[n] = (model.predict(samples, 5), *model.predict(samples, 5, return_pooled=True))
+    assert len(forks) == 2  # one child per two-CPU call, none on one CPU
+    head = model.compute_head()
+    traces = [model.forward_samples(samples[i : i + 5], head)[0] for i in range(0, 23, 5)]
+    oracle = (np.concatenate([t.probs for t in traces]),) * 2 + (np.concatenate([t.pooled_raw for t in traces]),)
+    for one, two, expected in zip(results[1], results[2], oracle):
+        assert np.array_equal(one, expected) and np.array_equal(two, expected)
+        assert two.dtype == expected.dtype
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_predict_reports_a_numeric_error_from_a_forked_batch(monkeypatch):
+    """A non-finite embedding row read only by the second batch fails in the child; the caller gets its error."""
+    model = _model()
+    samples = _samples(10, vocab_size=19)  # ids 4..18; id 19 marks the poisoned sample
+    samples[7] = TextSample(id="s7", tokens=(19, 5), label=None, domain="M")
+    model.encoder.table[19] = np.nan
+    parent = os.getpid()
+    pids = []
+    real_forward = Classifier.forward_samples
+
+    def forward(self, batch, *args, **kwargs):
+        pids.append(os.getpid())  # the child's appends die with it
+        return real_forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(Classifier, "forward_samples", forward)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(NumericError) as caught:
+        model.predict(samples, 5)
+    assert caught.type is NumericError and caught.value.stage == "bilstm"
+    assert pids == [parent]  # this process ran only the clean first batch
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_predicted_labels_tie_breaks_to_cover():
