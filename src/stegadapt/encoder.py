@@ -86,7 +86,8 @@ class BuiltinEncoder:
         mask = np.arange(width)[None, :] < lengths[:, None]
         ids = np.full((len(samples), width), PAD, dtype=np.int64)
         ids[mask] = np.where((flat < 0) | (flat >= self.vocab_size), UNK, flat)
-        feats = self.table[ids] + self._position_rows(width)[None, :, :]
+        feats = self.table[ids]
+        feats += self._position_rows(width)
         feats[~mask] = 0.0
         return feats, lengths, ids
 

@@ -14,6 +14,7 @@ each generated domain's ``manifest.json``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
@@ -25,7 +26,7 @@ import numpy as np
 from .adapt import TrainResult, evaluate_model, finetune, pretrain
 from .config import ExperimentConfig
 from .corpus import DomainDataset, TextSample, Vocab, dataset_from_jsonl, dataset_to_jsonl, strip_labels
-from .corpus import reading, write_jsonl, write_lines
+from .corpus import atomic_open, reading, write_jsonl, write_lines
 from .encoder import load_precomputed
 from .errors import CorpusError
 from .head import HeadConfig
@@ -404,10 +405,14 @@ def write_results(
 
 
 def write_rows_csv(rows: Sequence[Mapping], path: str | Path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c]) for c in CSV_COLUMNS))
-    write_lines(lines, path)
+    cells = [[f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c]) for c in CSV_COLUMNS] for row in rows]
+    _write_csv([CSV_COLUMNS, *cells], path)
+
+
+def _write_csv(rows: Sequence[Sequence[str]], path: str | Path) -> None:
+    """Write string rows atomically; a field holding a comma, quote or newline is quoted."""
+    with atomic_open(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def write_markdown_summary(
@@ -468,9 +473,8 @@ def export_projection(
         if row[pivot] < 0:
             row *= -1.0
     coords = centered @ components.T
-    lines = ["id,x,y,label"]
+    rows = [("id", "x", "y", "label")]
     for sample, (x, y) in zip(samples, coords):
-        label = "" if sample.label is None else str(sample.label)
-        lines.append(f"{sample.id},{x:.8f},{y:.8f},{label}")
-    write_lines(lines, path)
+        rows.append((sample.id, f"{x:.8f}", f"{y:.8f}", "" if sample.label is None else str(sample.label)))
+    _write_csv(rows, path)
     return coords

@@ -6,11 +6,15 @@ gradient and buffer has that dtype, whatever the dtype of the input
 features. The one exception is the (B, 2) softmax, which always runs in
 float64, so ``probs`` is float64 and the logit gradient is cast back. The
 finite-difference oracles run on float64 heads; the training and inference
-paths of :class:`~stegadapt.model.Classifier` pass a float32 copy. The
-forward pass keeps the per-stage activations it needs so
+paths of :class:`~stegadapt.model.Classifier` pass a float32 copy. By
+default the forward pass keeps the per-stage activations it needs so
 :func:`backward_batch` can produce exact analytic gradients for every
 parameter plus the gradient with respect to the input features (used to
-train the builtin encoder's embedding table while it is unfrozen).
+train the builtin encoder's embedding table while it is unfrozen). An
+inference pass (``keep_activations=False``, what ``Classifier.predict``
+runs) keeps none of them: each layer's gate activations and cells live in
+step-sized buffers, so a batch allocates and touches far less memory, and
+every output keeps its bits.
 
 Sequences inside a batch may have different lengths. The whole head runs on
 a packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows
@@ -187,33 +191,54 @@ class _PairCache:
 
 
 def _run_directions(
-    x_pair: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, offsets: np.ndarray
-) -> _PairCache:
+    x_pair: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, offsets: np.ndarray,
+    keep_activations: bool = True,
+) -> _PairCache | np.ndarray:
+    """Both directions of one Bi-LSTM layer: its :class:`_PairCache`, or without activations its hidden (N, 2, h).
+
+    Without activations, ``sig``, ``cand``, ``cell`` and ``tanh_cell`` are
+    step buffers of the first step's rows: step ``t``'s rows are a prefix of
+    step ``t - 1``'s, so the forget term reads the previous cell before this
+    step overwrites it. Each element sees the same operations either way.
+    """
     rows = x_pair.shape[1]
     h = wh.shape[2]
     dtype = np.result_type(x_pair, wx)
+    bounds = offsets.tolist()
+    batch = bounds[1]
     zx = np.empty((rows, 2, 4 * h), dtype=dtype)
     # Written through a view into the time-major block: no transposed copy.
     np.matmul(x_pair, wx.transpose(0, 2, 1), out=zx.transpose(1, 0, 2))
     zx += b
-    sig = np.empty((rows, 2, 3 * h), dtype=dtype)
-    cand, cell, tanh_cell, hidden = (np.empty((rows, 2, h), dtype=dtype) for _ in range(4))
+    span = rows if keep_activations else batch
+    sig = np.empty((span, 2, 3 * h), dtype=dtype)
+    cand, cell, tanh_cell = (np.empty((span, 2, h), dtype=dtype) for _ in range(3))
+    hidden = np.empty((rows, 2, h), dtype=dtype)
+    recurrent = np.empty((2, batch, 4 * h), dtype=dtype)
+    forget = np.empty((batch, 2, h), dtype=dtype)
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))
-    bounds = offsets.tolist()
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
+        n = hi - lo
+        at = slice(lo, hi) if keep_activations else slice(0, n)
         z = zx[lo:hi]
         if t:
-            prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
-            z = z + np.matmul(hidden[prev].transpose(1, 0, 2), wh_t).transpose(1, 0, 2)
-        sig_t = _sigmoid(z[:, :, : 3 * h], out=sig[lo:hi])
-        cand_t = np.tanh(z[:, :, 3 * h :], out=cand[lo:hi])
-        cell_t = cell[lo:hi]
+            prev = bounds[t - 1]
+            np.matmul(hidden[prev : prev + n].transpose(1, 0, 2), wh_t, out=recurrent[:, :n])
+            z += recurrent[:, :n].transpose(1, 0, 2)
+        sig_t = _sigmoid(z[:, :, : 3 * h], out=sig[at])
+        cand_t = np.tanh(z[:, :, 3 * h :], out=cand[at])
+        cell_t = cell[at]
+        if t:
+            cell_prev = cell[prev : prev + n] if keep_activations else cell_t
+            np.multiply(sig_t[:, :, h : 2 * h], cell_prev, out=forget[:n])
         np.multiply(sig_t[:, :, :h], cand_t, out=cell_t)
         if t:
-            cell_t += sig_t[:, :, h : 2 * h] * cell[prev]
-        tanh_t = np.tanh(cell_t, out=tanh_cell[lo:hi])
+            cell_t += forget[:n]
+        tanh_t = np.tanh(cell_t, out=tanh_cell[at])
         np.multiply(sig_t[:, :, 2 * h :], tanh_t, out=hidden[lo:hi])
+    if not keep_activations:
+        return hidden
     return _PairCache(x_pair, sig, cand, cell, tanh_cell, hidden)
 
 
@@ -224,14 +249,15 @@ class BatchTrace:
     ``states``, ``gate`` and ``gated`` are (N, 2h), row ``i`` being token
     ``packing.steps[i]`` of batch row ``packing.rows[i]``; the pooled and
     classifier arrays are per batch row, in input order. ``pair_caches``
-    holds one :class:`_PairCache` per layer, time-major (N, 2, ·).
+    holds one :class:`_PairCache` per layer, time-major (N, 2, ·), or is
+    ``None`` when the pass kept no activations.
     """
 
     mode: str
     lengths: np.ndarray
     width: int               # T, the padded width of the input features
     packing: _Packing
-    pair_caches: list
+    pair_caches: list | None  # None in an inference trace
     states: np.ndarray       # Bi-LSTM outputs, (N, 2h)
     gate: np.ndarray         # sigmoid gate activations
     gated: np.ndarray        # gate * states
@@ -258,7 +284,18 @@ def forward_batch(
     params: HeadParams,
     mode: str = "eval",
     dropout_rng: np.random.Generator | None = None,
+    keep_activations: bool = True,
 ) -> BatchTrace:
+    """Run the head over one padded batch.
+
+    ``keep_activations=False`` makes an inference trace. It holds the
+    outputs (``states``, ``gate``, ``gated``, the pooled arrays and
+    ``probs``) with the same bits as a full trace, but no per-layer
+    activations: only BPTT reads them, and at B=256 they are most of a
+    batch's memory. Each layer's gate activations and cells live in
+    step-sized buffers (see :func:`_run_directions`), ``pair_caches`` is
+    ``None``, and :func:`backward_batch` refuses the trace.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
@@ -271,12 +308,19 @@ def forward_batch(
     packing = _pack(lengths)
     dtype = params.dtype
     states = features[packing.rows, packing.steps].astype(dtype, copy=False)
-    pair_caches = []
+    pair_caches = [] if keep_activations else None
     for layer in range(cfg.layers):
         wx, wh, b = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh", "b"))
-        cache = _run_directions(np.stack([states, states[packing.reverse]]), wx, wh, b, packing.offsets)
-        pair_caches.append(cache)
-        states = np.concatenate([cache.hidden[:, 0], cache.hidden[packing.reverse, 1]], axis=1)
+        x_pair = np.empty((2, *states.shape), dtype=states.dtype)
+        x_pair[0] = states
+        np.take(states, packing.reverse, axis=0, out=x_pair[1])
+        if keep_activations:
+            cache = _run_directions(x_pair, wx, wh, b, packing.offsets)
+            pair_caches.append(cache)
+            hidden = cache.hidden
+        else:
+            hidden = _run_directions(x_pair, wx, wh, b, packing.offsets, keep_activations=False)
+        states = np.concatenate([hidden[:, 0], hidden[packing.reverse, 1]], axis=1)
     if not np.isfinite(states).all():
         raise NumericError("bilstm")
 
@@ -402,6 +446,8 @@ def backward_batch(
     Also returns the gradient with respect to the input features, exactly
     zero on padded positions, for an unfrozen encoder to consume.
     """
+    if trace.pair_caches is None:
+        raise ValueError("backward_batch needs a trace made with keep_activations=True")
     cfg = params.config
     dtype = params.dtype
     labels = np.asarray(labels)

@@ -86,19 +86,29 @@ class Classifier:
         head: HeadParams,
         mode: str = "eval",
         dropout_rng: np.random.Generator | None = None,
+        keep_activations: bool = True,
     ):
-        """Encode and run one batch through ``head``; returns the trace plus the padded id matrix."""
+        """Encode and run one batch through ``head``; returns the trace plus the padded id matrix.
+
+        ``keep_activations=False`` makes an inference trace, which
+        ``backward_batch`` refuses (see :func:`~stegadapt.head.forward_batch`).
+        """
         feats, lengths, ids = self.encoder.encode_batch(samples)
-        trace = forward_batch(feats, lengths, head, mode=mode, dropout_rng=dropout_rng)
+        trace = forward_batch(
+            feats, lengths, head, mode=mode, dropout_rng=dropout_rng, keep_activations=keep_activations
+        )
         return trace, ids
 
     def predict(self, samples: Sequence[TextSample], batch_size: int, return_pooled: bool = False):
         """Eval-mode class probabilities (float64) for many samples, in input order.
 
         With ``return_pooled`` the pooled features come back too, in the
-        compute dtype. The batches are ``batch_size`` consecutive samples,
-        dealt over this process and forked children by ``_forked_map``; each
-        batch is computed alone, so the bits do not depend on where it ran.
+        compute dtype. Each batch is an inference pass that keeps no
+        backpropagation arrays (``keep_activations=False``), with the same
+        bits as a pass that keeps them. The batches are ``batch_size``
+        consecutive samples, dealt over this process and forked children by
+        ``_forked_map``; each batch is computed alone, so the bits do not
+        depend on where it ran.
         With one CPU or one batch, without ``os.fork``, while other threads
         run or inside another map, every batch runs in this process.
         """
@@ -107,7 +117,7 @@ class Classifier:
         head = self.compute_head()
 
         def batch(start: int):
-            trace, _ = self.forward_samples(samples[start : start + batch_size], head, mode="eval")
+            trace, _ = self.forward_samples(samples[start : start + batch_size], head, keep_activations=False)
             return (trace.probs, trace.pooled_raw) if return_pooled else trace.probs
 
         outputs = _forked_map(batch, range(0, len(samples), batch_size))

@@ -370,6 +370,40 @@ def test_id_dataset_dir_without_vocab_beside_a_generated_domain_reports_error(tm
     assert (tmp_path / "out" / "runs" / "X__F" / "none" / "seed0" / "pretrain.npz").exists()
 
 
+def test_export_features_quotes_sample_ids_holding_a_comma_or_newline(tmp_path, tiny_config_dict):
+    """``dataset_dirs`` ids ``a,b`` and ``c\\nd`` stay one CSV field each: every row reads back as 4 fields."""
+    import csv
+
+    from stegadapt.config import config_from_dict
+    from stegadapt.corpus import dataset_to_jsonl
+    from stegadapt.experiment import prepare_data
+
+    data = prepare_data(config_from_dict(tiny_config_dict))
+    renamed = dict(zip((s.id for s in data.datasets["F"].val[:2]), ("a,b", "c\nd")))
+    dirs = {}
+    for tag, ds in data.datasets.items():
+        directory = tmp_path / tag
+        dataset_to_jsonl(ds, directory / "samples.jsonl", directory / "splits.jsonl")
+        (directory / "vocab.json").write_text(data.vocab.to_json() + "\n")
+        for name in ("samples.jsonl", "splits.jsonl"):
+            records = [json.loads(line) for line in (directory / name).read_text().splitlines()]
+            for rec in records:
+                rec["id"] = renamed.get(rec["id"], rec["id"])
+            (directory / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        dirs[tag] = str(directory)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_config_dict, "data": {"dataset_dirs": dirs}}))
+    out = tmp_path / "out"
+    assert _run(config, out, "pretrain", *TASK) == 0
+    assert _run(config, out, "export-features", *TASK, "--split", "val") == 0
+    with open(out / "results" / "projection_F_val.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "x", "y", "label"]
+    assert len(rows) == 1 + len(data.datasets["F"].val)
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows[1:3]] == ["a,b", "c\nd"]
+
+
 def test_path_like_domain_tag_writes_nothing_outside_out_dir(tmp_path, capsys, tiny_config_dict):
     """The tag ``../../escape`` would put its domain's cache and its run directory outside ``--out-dir``;
     the config refuses it, so ``gen-data`` and ``pretrain`` end in ``error:`` having written nothing."""

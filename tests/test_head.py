@@ -443,6 +443,29 @@ def test_time_major_loops_match_direction_major_oracle_bitwise(lengths, dtype, l
         assert got[name].tobytes() == value.tobytes(), name
 
 
+@pytest.mark.parametrize("lengths", [MIXED_LENGTHS, (4,), (3, 3, 3, 3)], ids=["mixed", "one_row", "equal"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_forward_without_activations_matches_bitwise(lengths, dtype, layers):
+    """An inference trace keeps the bits of every output, none of the layers' N-row activations, and no backward."""
+    rng = np.random.default_rng(41)
+    params = init_params(HeadConfig(d_h=10, hidden=6, layers=layers), seed=42).astype(dtype)
+    padded, lengths = _pad([rng.normal(size=(n, 10)) for n in lengths])
+    full = forward_batch(padded, lengths, params)
+    lean = forward_batch(padded, lengths, params, keep_activations=False)
+    for name in ("probs", "pooled_raw", "states", "gate", "gated"):
+        want, got = getattr(full, name), getattr(lean, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert len(full.pair_caches) == layers and lean.pair_caches is None
+    n_rows = int(lengths.sum())
+    per_row = {f.name for f in fields(lean) if isinstance(getattr(lean, f.name), np.ndarray)
+               and getattr(lean, f.name).shape[0] == n_rows}
+    assert per_row == {"states", "gate", "gated"}  # the outputs, and nothing kept for backpropagation
+    with pytest.raises(ValueError, match="keep_activations"):
+        backward_batch(lean, rng.integers(0, 2, lengths.size), params)
+
+
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
