@@ -31,6 +31,7 @@ from .experiment import (
     write_rows_csv,
 )
 from .model import load_checkpoint
+from .stegogen import DOMAIN_TAG
 
 
 def _base_parser(sub, name, help_text, task=True):
@@ -118,6 +119,8 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
+    if not DOMAIN_TAG.fullmatch(args.variant):  # it names a directory and a file under --out-dir
+        raise ValueError(f"--variant {args.variant!r} must match {DOMAIN_TAG.pattern}")
     data, spec = _task(cfg, args)
     rows = []
     for seed in _seeds(cfg, args):

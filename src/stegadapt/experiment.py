@@ -116,13 +116,17 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     for a cold and a warm cache. A cold cache gets the vocabulary and, per
     domain, its samples, splits and a ``manifest.json`` that records the
     generation spec, the domain seed and the vocabulary size. A domain
-    depends only on its corpus, its seed and the vocabulary, so the domains
-    are generated side by side through ``_forked_map``, and this process
-    alone writes the cache. A ``vocab.json`` in any ``dataset_dirs`` directory is the shared
-    vocabulary (they must agree), and it encodes every directory's ``text``
-    records and surface tokens; without one, the builtin encoder refuses them,
-    and token ids are refused beside a generated domain, whose vocabulary
-    would give them other meanings.
+    depends only on its corpus, its seed and the vocabulary, so each domain
+    is one item of a ``_forked_map`` call, which generates it and writes its
+    cache files, or reads them back from a warm cache, in the process that
+    owns it. This process writes ``vocab.json``, and ``COMPLETE`` only once
+    every domain has returned, so a failed domain never leaves a cache that
+    looks complete. A ``vocab.json`` in any ``dataset_dirs`` directory is the
+    shared vocabulary (they must agree), and it encodes every directory's
+    ``text`` records and surface tokens; without one, the builtin encoder
+    refuses them, and token ids are refused beside a generated domain, whose
+    vocabulary would give them other meanings. The ``dataset_dirs`` are read
+    here, before the vocabulary is chosen.
     """
     # Looked up at call time: the benchmark's traced mode patches corpus.build_vocab,
     # and test_benchmark_trace_bindings_exist fails if this import is hoisted.
@@ -154,8 +158,11 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
     if cache_root is not None and (cache_root / "COMPLETE").exists():
         with reading(cache_root / "vocab.json"):
             vocab = Vocab.from_json((cache_root / "vocab.json").read_text(encoding="utf-8"))
-        for tag in generated_tags:
-            datasets[tag] = dataset_from_jsonl(cache_root / tag / "samples.jsonl", cache_root / tag / "splits.jsonl")
+        loaded = _forked_map(
+            lambda tag: dataset_from_jsonl(cache_root / tag / "samples.jsonl", cache_root / tag / "splits.jsonl"),
+            generated_tags,
+        )
+        datasets.update(zip(generated_tags, loaded))
     elif generated_tags:
         texts = {tag: tokenize_corpus(cfg.data.domains[tag]) for tag in generated_tags}
         if vocab is None:
@@ -165,15 +172,15 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
             tag: int(np.random.SeedSequence([cfg.data.seed, 0xD0, index]).generate_state(1)[0])
             for index, tag in enumerate(generated_tags)
         }
-        built = _forked_map(
-            lambda tag: build_domain_dataset(texts[tag], tag, cfg.data, seeds[tag], vocab), generated_tags
-        )
-        datasets.update(zip(generated_tags, built))
         if cache_root is not None:
             write_lines([vocab.to_json()], cache_root / "vocab.json")
-            for tag in generated_tags:
+
+        def generate(tag: str) -> DomainDataset:
+            """One domain's dataset, written to its cache directory when there is a cache."""
+            ds = build_domain_dataset(texts[tag], tag, cfg.data, seeds[tag], vocab)
+            if cache_root is not None:
                 tag_dir = cache_root / tag
-                dataset_to_jsonl(datasets[tag], tag_dir / "samples.jsonl", tag_dir / "splits.jsonl")
+                dataset_to_jsonl(ds, tag_dir / "samples.jsonl", tag_dir / "splits.jsonl")
                 manifest = {
                     "generation_version": GENERATION_VERSION,
                     "domain": tag,
@@ -188,6 +195,10 @@ def prepare_data(cfg: ExperimentConfig, cache_dir: str | Path | None = None) -> 
                     "sizes": cfg.data.sizes,
                 }
                 write_lines([json.dumps(manifest, sort_keys=True, indent=2)], tag_dir / "manifest.json")
+            return ds
+
+        datasets.update(zip(generated_tags, _forked_map(generate, generated_tags)))
+        if cache_root is not None:
             write_lines(["ok"], cache_root / "COMPLETE")
 
     store = None

@@ -1,10 +1,12 @@
 """A fork-per-call parallel map over the CPUs this process may use.
 
-Cold data generation maps domains through :func:`_forked_map`, and batched
-inference maps batches. Each call forks its own children and reaps them
-before it returns, so no pool outlives a call. A map made while another is
-computing, in its parent's share or in a child, runs in the calling process,
-so nested maps never multiply the processes.
+Data preparation maps domains through :func:`_forked_map`: each item
+generates a domain and writes its cache files, or reads them back from a
+warm cache, in the process that computes it. Batched inference maps
+batches. Each call forks its own children and reaps them before it returns,
+so no pool outlives a call. A map made while another is computing, in its
+parent's share or in a child, runs in the calling process, so nested maps
+never multiply the processes.
 """
 
 from __future__ import annotations

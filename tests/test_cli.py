@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegadapt.cli import main
 
@@ -419,6 +425,109 @@ def test_path_like_domain_tag_writes_nothing_outside_out_dir(tmp_path, capsys, t
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: data domain tag '../../escape' must match [A-Za-z0-9]+([-_][A-Za-z0-9]+)*"] * 2
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_evaluate_variant_outside_the_pattern_rejected(tmp_path, capsys, monkeypatch, tiny_config_dict):
+    """``--variant`` names a checkpoint directory and a result file, so a path-like one is refused before any
+    data, checkpoint or result file is touched; every ablation name passes the same check."""
+    from stegadapt import cli
+    from stegadapt.experiment import ABLATIONS
+    from stegadapt.stegogen import DOMAIN_TAG
+
+    assert all(DOMAIN_TAG.fullmatch(name) for name in ABLATIONS)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config_dict))
+    out = tmp_path / "a" / "b" / "out"
+    assert _run(config, out, "pretrain", *TASK) == 0
+    ckpt = next(out.rglob("pretrain.npz"))
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("read data or a checkpoint")
+
+    monkeypatch.setattr(cli, "prepare_data", untouched)
+    monkeypatch.setattr(cli, "load_checkpoint", untouched)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    for variant in ("x/../../../../esc", "..", "a/b", "", "w PL"):
+        for checkpoint in (("--checkpoint", str(ckpt)), ()):
+            assert _run(config, out, "evaluate", *TASK, "--variant", variant, *checkpoint) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --variant {variant!r} must match {DOMAIN_TAG.pattern}\n"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+_PATH_LIKE = ("../../escape", "a/b", "..", ".", "", "x y", "S/../F", "/abs")
+_ODD_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.5, 0.0, 0.3, 1e300])
+_MUTANTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 30),
+    _ODD_FLOATS,
+    st.sampled_from(_PATH_LIKE),
+    st.lists(st.integers(-2, 30), max_size=3),
+    st.fixed_dictionaries({"k": st.integers(0, 3)}),
+)
+
+
+def _same_type(value):
+    """Values of ``value``'s own JSON type, in and out of its key's range."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-3, 30)
+    if isinstance(value, float):
+        return _ODD_FLOATS
+    if isinstance(value, str):
+        return st.sampled_from(("flc", "vlc", *_PATH_LIKE))
+    if isinstance(value, list):
+        return st.lists(st.integers(-2, 30), max_size=3)
+    return _MUTANTS
+
+
+@st.composite
+def _mutated_configs(draw, base):
+    """``base`` with one or two mutations: a key's value, a whole section or a domain's tag."""
+    raw = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 2))):
+        section = draw(st.sampled_from([*sorted(raw), "data", "data", "data"]))  # most knobs are data's
+        kind = draw(st.sampled_from(["value"] * 4 + ["section", "tag"]))
+        if kind == "section":
+            raw[section] = draw(_MUTANTS)
+        elif kind == "tag" and isinstance(raw.get("data"), dict) and isinstance(raw["data"].get("domains"), dict):
+            domains = raw["data"]["domains"]
+            if domains:
+                old = draw(st.sampled_from(sorted(domains)))
+                domains[draw(st.sampled_from(_PATH_LIKE))] = domains.pop(old)
+        elif isinstance(raw[section], dict) and raw[section]:
+            key = draw(st.sampled_from(sorted(raw[section])))
+            raw[section][key] = draw(st.one_of(_same_type(raw[section][key]), _MUTANTS))
+    return raw
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_config_gen_data_exits_cleanly_inside_out_dir(tiny_config_dict, data):
+    """A mutated config (wrong types, NaN and infinity, out-of-range values, path-like tags) either
+    generates (exit 0) or ends in ``error:`` and exit 1; no file appears or changes outside ``--out-dir``."""
+    raw = data.draw(_mutated_configs(tiny_config_dict))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        work, out = root / "in" / "work", root / "in" / "out"
+        work.mkdir(parents=True)
+        config = work / "config.json"
+        config.write_text(json.dumps(raw))
+        before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        err = io.StringIO()
+        os.chdir(work)  # relative paths in the config resolve inside the sandbox
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["gen-data", "-c", str(config), "--out-dir", str(out)])
+        finally:
+            os.chdir(cwd)
+        assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: ")), err.getvalue()
+        after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file() and out not in path.parents}
+        assert after == before
 
 
 @pytest.mark.parametrize("payload", ["{}", "[]", '{"tokens": 5}'], ids=["empty-object", "list", "tokens-not-a-list"])

@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import asdict
@@ -288,6 +289,116 @@ def test_in_process_domain_error_kills_and_reaps_the_forked_child(tiny_cfg, tmp_
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not list((tmp_path / "cache").rglob("COMPLETE"))
+
+
+def _recording_pids(monkeypatch, tmp_path, name):
+    """Wrap ``experiment.<name>`` so that each call notes ``<domain> <pid>`` in a file, from any process."""
+    from stegadapt import experiment
+
+    log = tmp_path / f"{name}.pids"
+    real = getattr(experiment, name)
+
+    def recording(*args, **kwargs):
+        with open(log, "a") as fh:  # one short append per call, whole lines from either process
+            fh.write(f"{Path(args[-2]).parent.name} {os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, recording)
+    return lambda: dict(line.split() for line in log.read_text().splitlines())
+
+
+def test_cold_cache_has_the_same_bytes_at_one_and_two_cpus_and_each_domain_writes_its_own(
+    tiny_cfg, tmp_path, monkeypatch
+):
+    pids = _recording_pids(monkeypatch, tmp_path, "dataset_to_jsonl")
+    written = {}
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        root = tmp_path / f"cpus{n}"
+        prepare_data(tiny_cfg, root)
+        written[n] = {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        assert {path.name for path in written[n]} == {
+            "vocab.json", "COMPLETE", "samples.jsonl", "splits.jsonl", "manifest.json"
+        }
+        assert len(written[n]) == 3 * 2 + 2
+        if n == 1:
+            assert pids() == {"F": str(os.getpid()), "S": str(os.getpid())}
+            (tmp_path / "dataset_to_jsonl.pids").unlink()
+    assert written[1] == written[2]
+    assert pids()["F"] == str(os.getpid()) != pids()["S"]  # the second domain was written by the forked child
+
+
+def test_two_cpu_warm_reload_reads_each_domain_in_its_own_process_and_equals_the_cold_data(
+    tiny_cfg, tmp_path, monkeypatch
+):
+    _cpus(monkeypatch, 2)
+    cold = prepare_data(tiny_cfg, tmp_path / "cache")
+    pids = _recording_pids(monkeypatch, tmp_path, "dataset_from_jsonl")
+    warm = prepare_data(tiny_cfg, tmp_path / "cache")
+    assert warm.datasets == cold.datasets and list(warm.datasets) == list(cold.datasets)
+    assert warm.vocab.id_to_token == cold.vocab.id_to_token
+    assert pids()["F"] == str(os.getpid()) != pids()["S"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_damaged_splits_read_in_the_forked_child_end_gen_data_with_its_path_and_line(
+    tiny_config_dict, tmp_path, monkeypatch, capsys
+):
+    from stegadapt.cli import main
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config_dict))
+    argv = ["gen-data", "-c", str(config), "--out-dir", str(tmp_path / "out")]
+    _cpus(monkeypatch, 2)
+    assert main(argv) == 0
+    (splits,) = (tmp_path / "out").glob("data/*/S/splits.jsonl")  # the second domain, read in the child
+    lines = splits.read_text().splitlines()
+    splits.write_text("\n".join([lines[0], '{"id": "S-cover-00000"}', *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {splits}: line 2: split record needs 'id', 'split' and 'role'\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cold_write_failing_in_the_forked_child_ends_gen_data_without_complete(
+    tiny_config_dict, tiny_cfg, tmp_path, monkeypatch, capsys
+):
+    from stegadapt.cli import main
+    from stegadapt.experiment import _data_key
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config_dict))
+    cache_root = tmp_path / "out" / "data" / _data_key(tiny_cfg.data)
+    cache_root.mkdir(parents=True)
+    (cache_root / "S").write_text("a file where the second domain's directory goes\n")
+    _cpus(monkeypatch, 2)
+    assert main(["gen-data", "-c", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cache_root / "S") in err and "Traceback" not in err
+    assert not list((tmp_path / "out").rglob("COMPLETE"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cache_digest_prints_the_same_lines_at_one_and_two_cpus(tiny_config_dict, tmp_path, monkeypatch, capsys):
+    import cache_digest
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config_dict))
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    printed = {}
+    for n in (2, 1):
+        _cpus(monkeypatch, n)
+        assert cache_digest.main([str(config)]) == 0
+        printed[n] = capsys.readouterr().out
+    lines = printed[1].splitlines()
+    assert printed[1] == printed[2] and len(lines) == 3 * 2 + 2 + 1
+    assert lines[-1].startswith("all ") and any(line.startswith("data/") and "/S/splits.jsonl " in line for line in lines)
+    assert not list(scratch.iterdir())  # the cache directory is removed
 
 
 def test_one_cpu_prints_the_forked_runs_dataset_digest_lines(tiny_config_dict, tmp_path, monkeypatch, capsys):
