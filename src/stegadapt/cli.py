@@ -1,23 +1,30 @@
 """Command-line entry point.
 
-Every command reads the same JSON config; ``--seed`` and ``--out-dir``
-override the config's seed list and artifact root. Metrics land in CSV files
-(one row per task, variant, and seed) plus a Markdown summary table, and all
-outputs are byte-stable for identical configs and seeds.
+Every command reads the same JSON config and writes under ``--out-dir``.
+``main`` applies ``--seed`` once, as the config's ``eval.seeds``, so every
+command runs the seeds of ``cfg.eval.seeds``: the stage commands and the
+runners loop over them, and ``export-features`` projects the first one's
+checkpoint. ``gen-data`` takes no ``--seed``; its data follows ``data.seed``.
+Every ``--source``, ``--target`` and ``--domain`` tag is checked against the
+config before any data is prepared. Metrics land in CSV files (one row per
+task, variant, and seed) plus a Markdown summary table, and all outputs are
+byte-stable for identical configs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .config import ExperimentConfig, load_config
+from .config import EvalConfig, ExperimentConfig, load_config
 from .errors import StegadaptError
 from .experiment import (
     TaskData,
     TaskResult,
     TaskSpec,
     adapt_stage,
+    check_domain_tag,
     checkpoint_path,
     evaluate_stage,
     export_projection,
@@ -34,11 +41,12 @@ from .model import load_checkpoint
 from .stegogen import DOMAIN_TAG
 
 
-def _base_parser(sub, name, help_text, task=True):
+def _base_parser(sub, name, help_text, task=True, seed=True):
     cmd = sub.add_parser(name, help=help_text)
     cmd.add_argument("-c", "--config", required=True, help="path to the JSON experiment config")
     cmd.add_argument("--out-dir", default="out", help="artifact root (default: ./out)")
-    cmd.add_argument("--seed", type=int, default=None, help="override the config's seed list with one seed")
+    if seed:
+        cmd.add_argument("--seed", type=int, default=None, help="override the config's seed list with one seed")
     if task:
         cmd.add_argument("--source", required=True, help="source domain tag")
         cmd.add_argument("--target", required=True, help="target domain tag")
@@ -49,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stegadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _base_parser(sub, "gen-data", "generate or refresh every configured domain dataset", task=False)
+    _base_parser(sub, "gen-data", "generate or refresh every configured domain dataset", task=False, seed=False)
 
     _base_parser(sub, "pretrain", "stage 1: train on the labeled source domain")
 
@@ -73,16 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeds(cfg: ExperimentConfig, args) -> list[int]:
-    return [args.seed] if args.seed is not None else list(cfg.eval.seeds)
-
-
-def _task(cfg: ExperimentConfig, args) -> tuple[TaskData, TaskSpec]:
-    """Prepared data and the task; unknown domain tags fail before any run file is read or written."""
-    data = prepare_data(cfg, args.out_dir)
+def _task(cfg: ExperimentConfig, args, *tags: str) -> tuple[TaskData, TaskSpec]:
+    """Prepared data and the task; an unknown domain tag fails before any data is prepared or run file read."""
     spec = TaskSpec(source=args.source, target=args.target)
-    data.task(spec)
-    return data, spec
+    for tag in (spec.source, spec.target, *tags):
+        check_domain_tag(tag, cfg.data.domain_tags())
+    return prepare_data(cfg, args.out_dir), spec
 
 
 def _score(value: float | None) -> str:
@@ -102,7 +106,7 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
     data, spec = _task(cfg, args)
-    for seed in _seeds(cfg, args):
+    for seed in cfg.eval.seeds:
         result = pretrain_stage(cfg, data, spec, seed, args.out_dir)
         print(f"seed {seed}: best source-val ACC {_score(result.best_val_score)} at epoch {result.best_index}")
     return 0
@@ -110,7 +114,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
 
 def cmd_adapt(cfg: ExperimentConfig, args) -> int:
     data, spec = _task(cfg, args)
-    for seed in _seeds(cfg, args):
+    for seed in cfg.eval.seeds:
         ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, "pretrain")
         model, _ = load_checkpoint(ckpt, store=data.store)
         result = adapt_stage(cfg, data, spec, seed, model, args.out_dir)
@@ -123,7 +127,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
         raise ValueError(f"--variant {args.variant!r} must match {DOMAIN_TAG.pattern}")
     data, spec = _task(cfg, args)
     rows = []
-    for seed in _seeds(cfg, args):
+    for seed in cfg.eval.seeds:
         ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, variant=args.variant)
         model, _ = load_checkpoint(ckpt, store=data.store)
         metrics = evaluate_stage(cfg, data, spec, model, args.split)
@@ -145,18 +149,18 @@ def _report(args, results: dict, name: str, title: str, labelled: dict[str, Task
 
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> int:
-    results = run_ablation(cfg, args.source, args.target, out_dir=args.out_dir, seeds=_seeds(cfg, args))
+    data, _ = _task(cfg, args)
+    results = run_ablation(cfg, data, args.source, args.target, args.out_dir)
     task = {variant: {(args.source, args.target): result} for variant, result in results.items()}
     name = f"ablation_{args.source}__{args.target}"
     return _report(args, task, name, f"Ablations {args.source}=>{args.target}", results)
 
 
 def cmd_export_features(cfg: ExperimentConfig, args) -> int:
-    data, spec = _task(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.eval.seeds[0]
-    ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed)
+    domain = args.domain or args.target
+    data, spec = _task(cfg, args, domain)
+    ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, cfg.eval.seeds[0])
     model, _ = load_checkpoint(ckpt, store=data.store)
-    domain = args.domain or spec.target
     samples = getattr(data.domain(domain), args.split)
     out = args.out or results_path(args.out_dir, f"projection_{domain}_{args.split}.csv")
     export_projection(model, samples, out, cfg.train.eval_batch_size)
@@ -165,7 +169,7 @@ def cmd_export_features(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_matrix(cfg: ExperimentConfig, args) -> int:
-    results = run_matrix(cfg, out_dir=args.out_dir, seeds=_seeds(cfg, args))
+    results = run_matrix(cfg, prepare_data(cfg, args.out_dir), args.out_dir)
     labelled = {f"{source}=>{target}": result for (source, target), result in results.items()}
     return _report(args, {"full": results}, "matrix", "Cross-domain matrix", labelled)
 
@@ -185,6 +189,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, eval=EvalConfig(seeds=(args.seed,)))
         return _HANDLERS[args.command](cfg, args)
     except (StegadaptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

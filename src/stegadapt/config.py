@@ -30,6 +30,8 @@ class EvalConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValueError("eval.seeds must be nonempty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"eval.seeds must be distinct and >= 0, got {list(self.seeds)}")
 
 
 @dataclass(frozen=True)

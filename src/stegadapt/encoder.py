@@ -59,10 +59,6 @@ class BuiltinEncoder:
         self.table = np.asarray(table, dtype=np.float64)
         self._positions = sinusoidal_positions(512, config.d_h)
 
-    @property
-    def d_h(self) -> int:
-        return self.config.d_h
-
     def _position_rows(self, length: int) -> np.ndarray:
         if length > self._positions.shape[0]:
             self._positions = sinusoidal_positions(length, self.config.d_h)
@@ -123,10 +119,6 @@ class PrecomputedEncoder:
         for sid, matrix in store.items():
             if matrix.ndim != 2 or matrix.shape[1] != config.d_h:
                 raise ValueError(f"stored matrix for {sid!r} has width {matrix.shape}, expected d_h={config.d_h}")
-
-    @property
-    def d_h(self) -> int:
-        return self.config.d_h
 
     def encode(self, sample: TextSample) -> np.ndarray:
         if sample.id not in self.store:

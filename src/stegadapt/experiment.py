@@ -1,10 +1,12 @@
 """Cross-domain task runner: datasets, training runs, ablations, exports.
 
-A task is one ordered (source, target) domain pair. Every run builds or
-loads the shared datasets (one vocabulary across all configured domains, one
-generated dataset per domain), pretrains on the labeled source, optionally
-adapts to the unlabeled target, and scores the target test split. Variants
-reuse identical data and seeds so comparisons isolate the ablated component.
+A task is one ordered (source, target) domain pair. ``prepare_data`` builds
+or loads the shared datasets (one vocabulary across all configured domains,
+one generated dataset per domain), and the runners take them prepared. Each
+run of a task, one per seed of ``cfg.eval.seeds``, pretrains on the labeled
+source, optionally adapts to the unlabeled target, and scores the target
+test split. Variants reuse identical data and seeds so comparisons isolate
+the ablated component.
 
 Each stage (pretrain, adapt, evaluate) is one function that the runners here
 and the CLI share, and this module alone lays out and writes the run
@@ -19,7 +21,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +60,12 @@ class TaskSpec:
         return f"{self.source}__{self.target}"
 
 
+def check_domain_tag(tag: str, tags: Collection[str]) -> None:
+    """Refuse a domain tag that is not one of the configured ``tags``."""
+    if tag not in tags:
+        raise ValueError(f"unknown domain tag {tag!r}; the config defines {sorted(tags)}")
+
+
 @dataclass
 class TaskData:
     vocab: Vocab | None
@@ -65,8 +73,7 @@ class TaskData:
     store: dict[str, np.ndarray] | None = None
 
     def domain(self, tag: str) -> DomainDataset:
-        if tag not in self.datasets:
-            raise ValueError(f"unknown domain tag {tag!r}; the config defines {sorted(self.datasets)}")
+        check_domain_tag(tag, self.datasets)
         return self.datasets[tag]
 
     def task(self, spec: TaskSpec) -> tuple[DomainDataset, DomainDataset]:
@@ -327,40 +334,26 @@ def _aggregate(spec: TaskSpec, rows: list[dict]) -> TaskResult:
 
 
 def run_task(
-    cfg: ExperimentConfig,
-    spec: TaskSpec,
-    out_dir: str | Path | None = None,
-    data: TaskData | None = None,
-    seeds: Sequence[int] | None = None,
+    cfg: ExperimentConfig, data: TaskData, spec: TaskSpec, out_dir: str | Path | None = None
 ) -> TaskResult:
-    """Train and score one task over the configured seeds; mean and std reported."""
-    if data is None:
-        data = prepare_data(cfg, out_dir)
-    seeds = list(cfg.eval.seeds if seeds is None else seeds)
-    rows = [result_row(cfg, spec, seed, run_seed(cfg, data, spec, seed, out_dir).test_metrics) for seed in seeds]
+    """Train and score one task over ``cfg.eval.seeds``; mean and std reported."""
+    outcomes = [run_seed(cfg, data, spec, seed, out_dir) for seed in cfg.eval.seeds]
+    rows = [result_row(cfg, spec, outcome.seed, outcome.test_metrics) for outcome in outcomes]
     return _aggregate(spec, rows)
 
 
 def run_ablation(
-    cfg: ExperimentConfig,
-    source: str,
-    target: str,
-    out_dir: str | Path | None = None,
-    data: TaskData | None = None,
-    seeds: Sequence[int] | None = None,
+    cfg: ExperimentConfig, data: TaskData, source: str, target: str, out_dir: str | Path | None = None
 ) -> dict[str, TaskResult]:
-    """All four variants on one task with shared data and seeds.
+    """All four variants on one task with shared data and ``cfg.eval.seeds``.
 
     The no-adaptation variant reuses the full run's pretraining checkpoint:
     with identical seeds the two pretraining stages are identical by
     construction, so training it twice would only burn time.
     """
-    if data is None:
-        data = prepare_data(cfg, out_dir)
-    seeds = list(cfg.eval.seeds if seeds is None else seeds)
     specs = {name: TaskSpec(source=source, target=target, ablation=name) for name in ABLATIONS}
     rows: dict[str, list[dict]] = {name: [] for name in ABLATIONS}
-    for seed in seeds:
+    for seed in cfg.eval.seeds:
         full = run_seed(cfg, data, specs["none"], seed, out_dir)
         rows["none"].append(result_row(cfg, specs["none"], seed, full.test_metrics))
 
@@ -380,17 +373,13 @@ def task_pairs(tags: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def run_matrix(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    seeds: Sequence[int] | None = None,
+    cfg: ExperimentConfig, data: TaskData, out_dir: str | Path | None = None
 ) -> dict[tuple[str, str], TaskResult]:
     """The full cross-domain matrix: every ordered domain pair, full method."""
-    data = prepare_data(cfg, out_dir)
-    results = {}
-    for source, target in task_pairs(cfg.data.domain_tags()):
-        spec = TaskSpec(source=source, target=target)
-        results[(source, target)] = run_task(cfg, spec, out_dir=out_dir, data=data, seeds=seeds)
-    return results
+    return {
+        (source, target): run_task(cfg, data, TaskSpec(source=source, target=target), out_dir)
+        for source, target in task_pairs(cfg.data.domain_tags())
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import NumericError
 
 LOG_EPS = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's usual moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -502,13 +503,7 @@ class AdamState:
 
 
 def adam_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray], state: AdamState, lr: float
 ) -> None:
     """Bias-corrected Adam, updating the parameter arrays in place.
 
@@ -516,16 +511,16 @@ def adam_step(
     gradient updates float64 master weights and moments in float64.
     """
     state.step += 1
-    correction1 = 1.0 - beta1**state.step
-    correction2 = 1.0 - beta2**state.step
+    correction1 = 1.0 - ADAM_BETA1**state.step
+    correction2 = 1.0 - ADAM_BETA2**state.step
     for name, grad in grads.items():
         tensor = params[name]
         grad = grad.astype(tensor.dtype, copy=False)
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(tensor), np.zeros_like(tensor)
         m, v = state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * np.square(grad)
-        tensor -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(grad)
+        tensor -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)

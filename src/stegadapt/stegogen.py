@@ -389,9 +389,9 @@ class DataConfig:
                 raise ValueError(f"data.{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"data.alpha must be finite and >= 0, got {self.alpha}")
-        for name, size in self.sizes.items():
-            if size < 0:
-                raise ValueError(f"data.{name} must be >= 0, got {size}")
+        for name, value in {**self.sizes, "seed": self.seed}.items():
+            if value < 0:
+                raise ValueError(f"data.{name} must be >= 0, got {value}")
 
     @property
     def sizes(self) -> dict[str, int]:

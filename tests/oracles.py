@@ -125,7 +125,7 @@ def encode_single(encoder, sample) -> np.ndarray:
     """
     ids = np.asarray(sample.tokens, dtype=np.int64)
     ids = np.where((ids < 0) | (ids >= encoder.vocab_size), UNK, ids)
-    return encoder.table[ids] + sinusoidal_positions(len(ids), encoder.d_h)
+    return encoder.table[ids] + sinusoidal_positions(len(ids), encoder.config.d_h)
 
 
 def embedding_gradient_by_rows(encoder, ids, d_features, lengths) -> np.ndarray:

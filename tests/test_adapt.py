@@ -395,3 +395,29 @@ def test_finetune_reestimates_pseudo_labels_every_round(monkeypatch):
         estimated = events[2 * t][1]
         assert models_equal(estimated, events[2 * t - 1][1])
         assert not models_equal(estimated, events[2 * t - 2][1])
+
+
+_CFG = TrainConfig(lr=0.01, batch_size=8, pretrain_epochs=1, finetune_rounds=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TrainConfig(pretrain_epochs=-1), ValueError, "epoch and round counts must be >= 0"),
+        (lambda: TrainConfig(finetune_rounds=-1), ValueError, "epoch and round counts must be >= 0"),
+        (lambda: schedule_sizes(0.1, 100, 0), ValueError, "rounds must be >= 1"),
+        (lambda: schedule_sizes(0.1, 0, 5), ValueError, "n_target must be >= 1"),
+        (
+            lambda: evaluate_model(_toy_model(), strip_labels(_toy_samples(4)), 256),
+            ValueError,
+            "evaluation samples must be labeled",
+        ),
+        (lambda: pretrain(_toy_model(), [], _toy_samples(4), _CFG), ValueError, "source training data is empty"),
+    ],
+    ids=["negative-epochs", "negative-rounds", "schedule-rounds", "schedule-n_target", "evaluate-unlabeled",
+         "pretrain-empty-source"],
+)
+def test_argument_check_raises_its_error(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and str(caught.value) == message

@@ -230,15 +230,49 @@ def test_mistyped_config_reports_error(tmp_path, capsys, raw, named):
         ("pretrain", "--source", "S", "--target", "X"),
         ("adapt", "--source", "S", "--target", "X"),
         ("evaluate", "--source", "S", "--target", "X"),
+        ("ablate", "--source", "S", "--target", "X"),
+        ("export-features", "--source", "S", "--target", "F", "--domain", "X"),
     ],
 )
 def test_unknown_domain_tag_reports_error(workspace, capsys, argv):
+    """The tag is checked before any data is prepared or checkpoint read, so ``--out-dir`` is never created."""
     tmp, config = workspace
     out = tmp / "out"
     assert _run(config, out, *argv, "--seed", "0") == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "'X'" in err and "['F', 'S']" in err
-    assert not (out / "runs").exists()
+    assert err == "error: unknown domain tag 'X'; the config defines ['F', 'S']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, argv, message",
+    [
+        ("eval", "seeds", [-1], (), "eval.seeds must be distinct and >= 0, got [-1]"),
+        ("eval", "seeds", [0, 0], (), "eval.seeds must be distinct and >= 0, got [0, 0]"),
+        ("data", "seed", -3, (), "data.seed must be >= 0, got -3"),
+        ("eval", "seeds", [0], ("--seed", "-1"), "eval.seeds must be distinct and >= 0, got [-1]"),
+    ],
+    ids=["negative-eval-seed", "repeated-eval-seed", "negative-data-seed", "negative-seed-flag"],
+)
+def test_bad_seed_fails_at_load_and_writes_nothing(
+    tmp_path, capsys, tiny_config_dict, section, key, value, argv, message
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_config_dict, section: {**tiny_config_dict[section], key: value}}))
+    out = tmp_path / "out"
+    assert _run(config, out, "pretrain", "--source", "S", "--target", "F", *argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_data_takes_no_seed_flag(workspace, capsys):
+    """``gen-data``'s data follows ``data.seed``, so a ``--seed`` there is an unknown flag."""
+    tmp, config = workspace
+    with pytest.raises(SystemExit) as caught:
+        _run(config, tmp / "out", "gen-data", "--seed", "99")
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
 
 
 def test_malformed_feature_store_reports_error(tmp_path, capsys, tiny_config_dict):

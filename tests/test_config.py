@@ -140,6 +140,11 @@ def test_value_of_the_wrong_type_rejected(section, key, value):
         ("data", "train", -1, "data.train"),
         ("data", "val", -1, "data.val"),
         ("data", "test", -1, "data.test"),
+        ("data", "seed", -3, "data.seed"),
+        ("eval", "seeds", [], "eval.seeds"),
+        ("eval", "seeds", [-1], "eval.seeds"),
+        ("eval", "seeds", [0, 0], "eval.seeds"),
+        ("eval", "seeds", [1, 2, 1], "eval.seeds"),
     ],
 )
 def test_out_of_range_value_rejected_at_load(section, key, value, field):

@@ -143,7 +143,7 @@ def test_builtin_gradient_matches_row_scatter_oracle_bitwise(dtype):
     _, lengths, ids = enc.encode_batch(samples)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        d_features = rng.standard_normal(ids.shape + (enc.d_h,)).astype(dtype)
+        d_features = rng.standard_normal(ids.shape + (enc.config.d_h,)).astype(dtype)
         grad = enc.gradient_tensors(ids, d_features, lengths)["encoder.embedding"]
         assert grad.tobytes() == embedding_gradient_by_rows(enc, ids, d_features, lengths).tobytes()
     assert not grad[PAD].any() and grad[UNK].any()

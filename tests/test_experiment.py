@@ -10,14 +10,14 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stegadapt.adapt import TrainResult, evaluate_model
-from stegadapt.config import config_from_dict
+from stegadapt.config import EvalConfig, config_from_dict
 from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.head import HeadConfig
@@ -443,7 +443,6 @@ def test_benchmark_trace_bindings_exist(tiny_cfg, tmp_path):
     """
     import importlib.util
     import pathlib
-    from dataclasses import replace
     from types import SimpleNamespace
 
     from stegadapt import adapt, corpus, encoder, experiment, model, stegogen
@@ -493,7 +492,8 @@ def test_run_seed_full_method_adapts(tiny_cfg, tiny_data):
 
 
 def test_run_task_aggregates_over_seeds(tiny_cfg, tiny_data):
-    result = run_task(tiny_cfg, TaskSpec(source="S", target="F"), data=tiny_data, seeds=[0, 1])
+    two_seeds = replace(tiny_cfg, eval=EvalConfig(seeds=(0, 1)))
+    result = run_task(two_seeds, tiny_data, TaskSpec(source="S", target="F"))
     assert len(result.rows) == 2
     accs = [r["acc"] for r in result.rows]
     assert result.mean_acc == pytest.approx(np.mean(accs))
@@ -502,7 +502,7 @@ def test_run_task_aggregates_over_seeds(tiny_cfg, tiny_data):
 
 
 def test_run_ablation_shapes_and_shared_pretrain(tiny_cfg, tiny_data):
-    results = run_ablation(tiny_cfg, "S", "F", data=tiny_data, seeds=[0])
+    results = run_ablation(tiny_cfg, tiny_data, "S", "F")
     assert list(results) == ["none", "w-PL", "w-FF", "w-SLB"]
     for result in results.values():
         assert len(result.rows) == 1
@@ -525,15 +525,15 @@ def test_ablation_isolation_hashes(tiny_cfg, tiny_data):
     assert changed == {"w-FF": {"gate_bypass"}, "w-SLB": {"layers"}}
 
 
-def test_run_matrix_emits_all_pairs_with_rows(tiny_cfg):
-    results = run_matrix(tiny_cfg, seeds=[0])
+def test_run_matrix_emits_all_pairs_with_rows(tiny_cfg, tiny_data):
+    results = run_matrix(tiny_cfg, tiny_data)
     assert set(results) == {("F", "S"), ("S", "F")}
     rows = [row for r in results.values() for row in r.rows]
     assert len(rows) == 2
 
 
 def test_write_rows_csv_format(tmp_path, tiny_cfg, tiny_data):
-    result = run_task(tiny_cfg, TaskSpec(source="S", target="F"), data=tiny_data, seeds=[0])
+    result = run_task(tiny_cfg, tiny_data, TaskSpec(source="S", target="F"))
     path = tmp_path / "rows.csv"
     write_rows_csv(result.rows, path)
     lines = path.read_text().splitlines()
@@ -543,7 +543,7 @@ def test_write_rows_csv_format(tmp_path, tiny_cfg, tiny_data):
 
 
 def test_write_markdown_summary(tmp_path, tiny_cfg, tiny_data):
-    result = run_task(tiny_cfg, TaskSpec(source="S", target="F"), data=tiny_data, seeds=[0])
+    result = run_task(tiny_cfg, tiny_data, TaskSpec(source="S", target="F"))
     path = tmp_path / "summary.md"
     write_markdown_summary({"full": {("S", "F"): result}}, path, "demo")
     text = path.read_text()
@@ -552,8 +552,8 @@ def test_write_markdown_summary(tmp_path, tiny_cfg, tiny_data):
 
 
 def test_markdown_average_column_is_mean_of_task_means(tmp_path, tiny_cfg, tiny_data):
-    a = run_task(tiny_cfg, TaskSpec(source="S", target="F"), data=tiny_data, seeds=[0])
-    b = run_task(tiny_cfg, TaskSpec(source="F", target="S"), data=tiny_data, seeds=[0])
+    a = run_task(tiny_cfg, tiny_data, TaskSpec(source="S", target="F"))
+    b = run_task(tiny_cfg, tiny_data, TaskSpec(source="F", target="S"))
     path = tmp_path / "summary.md"
     write_markdown_summary({"full": {("S", "F"): a, ("F", "S"): b}}, path, "demo")
     row = [l for l in path.read_text().splitlines() if l.startswith("| full")][0]
@@ -675,7 +675,7 @@ def test_precomputed_feature_pipeline_end_to_end(tiny_cfg, tiny_data, tmp_path):
     )
     data = prepare_data(cfg)
     assert data.store is not None and len(data.store) == len(store)
-    result = run_task(cfg, TaskSpec(source="S", target="F"), data=data, seeds=[0])
+    result = run_task(cfg, data, TaskSpec(source="S", target="F"))
     # Linearly separated synthetic features make this trivially learnable.
     assert result.mean_acc > 0.9
 

@@ -543,3 +543,50 @@ def test_adam_trajectories_deterministic():
         return params["x"]
 
     np.testing.assert_array_equal(run(), run())
+
+
+def _head(poisoned=None):
+    """A small head; the tensor named ``poisoned`` is filled with NaN."""
+    params = init_params(HeadConfig(d_h=4, hidden=2), seed=1)
+    if poisoned is not None:
+        params.tensors[poisoned][...] = np.nan
+    return params
+
+
+_X = np.ones((1, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: forward_batch(_X, [3], _head(), "test"), ValueError, "mode must be 'train' or 'eval', got 'test'"),
+        (lambda: forward_batch(_X, [0], _head()), ValueError, "lengths must be in 1..T"),
+        (lambda: forward_batch(_X, [4], _head()), ValueError, "lengths must be in 1..T"),
+        (lambda: forward_batch(_X, [3], _head("gate.w")), NumericError, "non-finite values produced by stage 'gate'"),
+        (
+            lambda: forward_batch(_X, [3], _head("cls.w")),
+            NumericError,
+            "non-finite values produced by stage 'classifier'",
+        ),
+        (
+            lambda: backward_batch(forward_batch(_X, [3], _head()), [0, 1], _head()),
+            ValueError,
+            "labels must align with the traced batch",
+        ),
+        (lambda: batch_loss_ce(np.zeros((0, 2)), []), ValueError, "probs and labels must be nonempty and aligned"),
+        (lambda: HeadConfig(d_h=0), ValueError, "d_h and hidden must be >= 1"),
+        (lambda: HeadConfig(hidden=0), ValueError, "d_h and hidden must be >= 1"),
+        (lambda: HeadConfig(layers=0), ValueError, "layers must be >= 1"),
+        (lambda: HeadConfig(dropout_keep=0.0), ValueError, "dropout_keep must be in (0, 1]"),
+        (lambda: HeadConfig(dropout_keep=1.5), ValueError, "dropout_keep must be in (0, 1]"),
+    ],
+    ids=[
+        "forward-mode", "forward-length-0", "forward-length-past-T", "forward-gate-nan", "forward-classifier-nan",
+        "backward-misaligned-labels", "loss-empty", "config-d_h", "config-hidden", "config-layers",
+        "config-dropout-0", "config-dropout-above-1",
+    ],
+)
+def test_argument_check_raises_its_error(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and str(caught.value) == message

@@ -146,7 +146,7 @@ def test_checkpoint_with_component_hashes_in_its_meta_still_loads(tmp_path):
         arrays = dict(archive)
     meta = json.loads(bytes(arrays["meta"]).decode())
     meta["hashes"] = {
-        "encoder": config_hash({"kind": "builtin", "d_h": model.encoder.d_h}),
+        "encoder": config_hash({"kind": "builtin", "d_h": model.encoder.config.d_h}),
         "head": config_hash(asdict(model.head.config)),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
@@ -217,3 +217,14 @@ def test_component_hashes_isolate_ablated_field():
     gated_off = _model(seed=0, gate_bypass=True)
     assert base.encoder.config == gated_off.encoder.config
     assert replace(base.head.config, gate_bypass=True) == gated_off.head.config != base.head.config
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: _model().predict([], batch_size=4), ValueError, "predict needs at least one sample")],
+    ids=["predict-empty"],
+)
+def test_argument_check_raises_its_error(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and str(caught.value) == message
