@@ -169,7 +169,7 @@ def _train_one_epoch(
         head_grads, d_features = backward_batch(trace, labels, head)
         grads = {f"head.{k}": g for k, g in head_grads.items()}
         if "encoder.embedding" in trainable:
-            grads.update(model.encoder.gradient_tensors(ids, d_features, trace.lengths))
+            grads.update(model.encoder.gradient_tensors(ids, d_features))
         adam_step(trainable, grads, optimizer, lr=cfg.lr)
     return float(np.mean(losses)) if losses else 0.0
 

@@ -5,6 +5,8 @@ Every command reads the same JSON config and writes under ``--out-dir``.
 command runs the seeds of ``cfg.eval.seeds``: the stage commands and the
 runners loop over them, and ``export-features`` projects the first one's
 checkpoint. ``gen-data`` takes no ``--seed``; its data follows ``data.seed``.
+A ``--checkpoint`` given to ``adapt`` or ``evaluate`` is one model, so it is
+refused unless ``cfg.eval.seeds`` holds one seed.
 Every ``--source``, ``--target`` and ``--domain`` tag is checked against the
 config before any data is prepared. Metrics land in CSV files (one row per
 task, variant, and seed) plus a Markdown summary table, and all outputs are
@@ -41,8 +43,9 @@ from .model import load_checkpoint
 from .stegogen import DOMAIN_TAG
 
 
-def _base_parser(sub, name, help_text, task=True, seed=True):
+def _base_parser(sub, name, help_text, handler, task=True, seed=True):
     cmd = sub.add_parser(name, help=help_text)
+    cmd.set_defaults(handler=handler)
     cmd.add_argument("-c", "--config", required=True, help="path to the JSON experiment config")
     cmd.add_argument("--out-dir", default="out", help="artifact root (default: ./out)")
     if seed:
@@ -57,27 +60,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stegadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _base_parser(sub, "gen-data", "generate or refresh every configured domain dataset", task=False, seed=False)
+    _base_parser(
+        sub, "gen-data", "generate or refresh every configured domain dataset", cmd_gen_data, task=False, seed=False
+    )
 
-    _base_parser(sub, "pretrain", "stage 1: train on the labeled source domain")
+    _base_parser(sub, "pretrain", "stage 1: train on the labeled source domain", cmd_pretrain)
 
-    adapt = _base_parser(sub, "adapt", "stage 2: pseudo-label self-training on the target domain")
+    adapt = _base_parser(sub, "adapt", "stage 2: pseudo-label self-training on the target domain", cmd_adapt)
     adapt.add_argument("--checkpoint", default=None, help="pretraining checkpoint to start from")
 
-    ev = _base_parser(sub, "evaluate", "score a checkpoint on a target split")
+    ev = _base_parser(sub, "evaluate", "score a checkpoint on a target split", cmd_evaluate)
     ev.add_argument("--checkpoint", default=None, help="checkpoint file (default: adapted, else pretrain)")
     ev.add_argument("--split", choices=("val", "test"), default="test")
     ev.add_argument("--variant", default="none", help="variant label used for artifact paths")
 
-    _base_parser(sub, "ablate", "run the full method and the three ablations")
+    _base_parser(sub, "ablate", "run the full method and the three ablations", cmd_ablate)
 
-    ex = _base_parser(sub, "export-features", "write a 2-D feature projection CSV")
+    ex = _base_parser(sub, "export-features", "write a 2-D feature projection CSV", cmd_export_features)
     ex.add_argument("--checkpoint", default=None)
     ex.add_argument("--domain", default=None, help="domain to project (default: the target)")
     ex.add_argument("--split", choices=("train", "val", "test"), default="test")
     ex.add_argument("--out", default=None, help="output CSV path")
 
-    _base_parser(sub, "matrix", "run every ordered cross-domain task", task=False)
+    _base_parser(sub, "matrix", "run every ordered cross-domain task", cmd_matrix, task=False)
     return parser
 
 
@@ -87,6 +92,12 @@ def _task(cfg: ExperimentConfig, args, *tags: str) -> tuple[TaskData, TaskSpec]:
     for tag in (spec.source, spec.target, *tags):
         check_domain_tag(tag, cfg.data.domain_tags())
     return prepare_data(cfg, args.out_dir), spec
+
+
+def _check_checkpoint_seeds(cfg: ExperimentConfig, args) -> None:
+    """A ``--checkpoint`` is one model, so it serves one seed; refused before any data is prepared."""
+    if args.checkpoint and len(cfg.eval.seeds) > 1:
+        raise ValueError(f"--checkpoint is one model but eval.seeds is {list(cfg.eval.seeds)}; pick one with --seed")
 
 
 def _score(value: float | None) -> str:
@@ -113,6 +124,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_adapt(cfg: ExperimentConfig, args) -> int:
+    _check_checkpoint_seeds(cfg, args)
     data, spec = _task(cfg, args)
     for seed in cfg.eval.seeds:
         ckpt = args.checkpoint or checkpoint_path(args.out_dir, spec, seed, "pretrain")
@@ -125,6 +137,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     if not DOMAIN_TAG.fullmatch(args.variant):  # it names a directory and a file under --out-dir
         raise ValueError(f"--variant {args.variant!r} must match {DOMAIN_TAG.pattern}")
+    _check_checkpoint_seeds(cfg, args)
     data, spec = _task(cfg, args)
     rows = []
     for seed in cfg.eval.seeds:
@@ -174,24 +187,13 @@ def cmd_matrix(cfg: ExperimentConfig, args) -> int:
     return _report(args, {"full": results}, "matrix", "Cross-domain matrix", labelled)
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "pretrain": cmd_pretrain,
-    "adapt": cmd_adapt,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-    "export-features": cmd_export_features,
-    "matrix": cmd_matrix,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if getattr(args, "seed", None) is not None:
             cfg = replace(cfg, eval=EvalConfig(seeds=(args.seed,)))
-        return _HANDLERS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except (StegadaptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,9 @@ table with fixed sinusoidal position codes; ``precomputed`` serves per-sample
 feature matrices loaded from a file, standing in for features exported by a
 large pretrained model. Neither decides when it trains:
 ``Classifier.trainable_tensors`` adds the builtin table during source
-pretraining only, and a precomputed store is never trained.
+pretraining only, and a precomputed store is never trained, so its
+``encode_batch`` returns no id matrix. The builtin gradient finds a batch's
+tokens by id: padding holds PAD, whose row never trains.
 """
 
 from __future__ import annotations
@@ -87,19 +89,19 @@ class BuiltinEncoder:
         feats[~mask] = 0.0
         return feats, lengths, ids
 
-    def gradient_tensors(self, ids: np.ndarray, d_features: np.ndarray, lengths: np.ndarray) -> dict[str, np.ndarray]:
-        """Accumulate feature gradients into embedding-row gradients.
+    def gradient_tensors(self, ids: np.ndarray, d_features: np.ndarray) -> dict[str, np.ndarray]:
+        """Accumulate the feature gradients of the non-PAD ids into embedding-row gradients.
 
-        One 1-D ``np.add.at`` over the flat element indices ``id * d_h +
-        column``: it adds each element's terms in the same order as a
-        scatter of whole rows, which is numpy's slow path.
+        Padding holds PAD, so the non-PAD ids are the batch's tokens, and
+        PAD's row stays zero. One 1-D ``np.add.at`` over the flat element
+        indices ``id * d_h + column``: it adds each element's terms in the
+        same order as a scatter of whole rows, which is numpy's slow path.
         """
         grad = np.zeros_like(self.table)
-        mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+        kept = ids != PAD
         d_h = grad.shape[1]
-        flat = (ids[mask][:, None] * d_h + np.arange(d_h)).ravel()
-        np.add.at(grad.reshape(-1), flat, d_features[mask].astype(grad.dtype).ravel())  # mixed dtypes take a slow loop
-        grad[PAD] = 0.0
+        flat = (ids[kept][:, None] * d_h + np.arange(d_h)).ravel()
+        np.add.at(grad.reshape(-1), flat, d_features[kept].astype(grad.dtype).ravel())  # mixed dtypes take a slow loop
         return {"encoder.embedding": grad}
 
     def clone(self) -> "BuiltinEncoder":
@@ -125,15 +127,14 @@ class PrecomputedEncoder:
             raise FeatureLookupError(f"no precomputed features for sample id {sample.id!r}")
         return self.store[sample.id]
 
-    def encode_batch(self, samples: Sequence[TextSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def encode_batch(self, samples: Sequence[TextSample]) -> tuple[np.ndarray, np.ndarray, None]:
+        """Padded feature tensor (B, T, d_h), lengths, and no id matrix: a store is never trained."""
         matrices = [self.encode(s) for s in samples]
         lengths = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-        width = int(lengths.max())
-        feats = np.zeros((len(samples), width, self.config.d_h))
+        feats = np.zeros((len(samples), int(lengths.max()), self.config.d_h))
         for row, m in enumerate(matrices):
             feats[row, : m.shape[0]] = m
-        ids = np.full((len(samples), width), PAD, dtype=np.int64)
-        return feats, lengths, ids
+        return feats, lengths, None
 
     def clone(self) -> "PrecomputedEncoder":
         return PrecomputedEncoder(self.config, self.store)

@@ -11,10 +11,10 @@ default the forward pass keeps the per-stage activations it needs so
 :func:`backward_batch` can produce exact analytic gradients for every
 parameter plus the gradient with respect to the input features (used to
 train the builtin encoder's embedding table while it is unfrozen). An
-inference pass (``keep_activations=False``, what ``Classifier.predict``
-runs) keeps none of them: each layer's gate activations and cells live in
-step-sized buffers, so a batch allocates and touches far less memory, and
-every output keeps its bits.
+inference pass (``keep_activations=False``, what
+``Classifier.forward_samples`` runs in eval mode) keeps none of them: each
+layer's gate activations and cells live in step-sized buffers, so a batch
+allocates and touches far less memory, and every output keeps its bits.
 
 Sequences inside a batch may have different lengths. The whole head runs on
 a packed layout, the scheme of PyTorch's ``pack_padded_sequence``: rows
@@ -192,15 +192,15 @@ class _PairCache:
 
 
 def _run_directions(
-    x_pair: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, offsets: np.ndarray,
-    keep_activations: bool = True,
-) -> _PairCache | np.ndarray:
-    """Both directions of one Bi-LSTM layer: its :class:`_PairCache`, or without activations its hidden (N, 2, h).
+    x_pair: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, offsets: np.ndarray, keep_activations: bool
+) -> tuple[np.ndarray, _PairCache | None]:
+    """Both directions of one Bi-LSTM layer: its hidden (N, 2, h), and its :class:`_PairCache` or ``None``.
 
-    Without activations, ``sig``, ``cand``, ``cell`` and ``tanh_cell`` are
-    step buffers of the first step's rows: step ``t``'s rows are a prefix of
-    step ``t - 1``'s, so the forget term reads the previous cell before this
-    step overwrites it. Each element sees the same operations either way.
+    Without activations there is no cache, and ``sig``, ``cand``, ``cell``
+    and ``tanh_cell`` are step buffers of the first step's rows: step
+    ``t``'s rows are a prefix of step ``t - 1``'s, so the forget term reads
+    the previous cell before this step overwrites it. Each element sees the
+    same operations either way.
     """
     rows = x_pair.shape[1]
     h = wh.shape[2]
@@ -238,9 +238,7 @@ def _run_directions(
             cell_t += forget[:n]
         tanh_t = np.tanh(cell_t, out=tanh_cell[at])
         np.multiply(sig_t[:, :, 2 * h :], tanh_t, out=hidden[lo:hi])
-    if not keep_activations:
-        return hidden
-    return _PairCache(x_pair, sig, cand, cell, tanh_cell, hidden)
+    return hidden, _PairCache(x_pair, sig, cand, cell, tanh_cell, hidden) if keep_activations else None
 
 
 @dataclass
@@ -309,18 +307,14 @@ def forward_batch(
     packing = _pack(lengths)
     dtype = params.dtype
     states = features[packing.rows, packing.steps].astype(dtype, copy=False)
-    pair_caches = [] if keep_activations else None
+    pair_caches = []
     for layer in range(cfg.layers):
         wx, wh, b = (params.tensors[f"lstm{layer}.{name}"] for name in ("wx", "wh", "b"))
         x_pair = np.empty((2, *states.shape), dtype=states.dtype)
         x_pair[0] = states
         np.take(states, packing.reverse, axis=0, out=x_pair[1])
-        if keep_activations:
-            cache = _run_directions(x_pair, wx, wh, b, packing.offsets)
-            pair_caches.append(cache)
-            hidden = cache.hidden
-        else:
-            hidden = _run_directions(x_pair, wx, wh, b, packing.offsets, keep_activations=False)
+        hidden, cache = _run_directions(x_pair, wx, wh, b, packing.offsets, keep_activations)
+        pair_caches.append(cache)
         states = np.concatenate([hidden[:, 0], hidden[packing.reverse, 1]], axis=1)
     if not np.isfinite(states).all():
         raise NumericError("bilstm")
@@ -354,7 +348,7 @@ def forward_batch(
         lengths=lengths,
         width=features.shape[1],
         packing=packing,
-        pair_caches=pair_caches,
+        pair_caches=pair_caches if keep_activations else None,
         states=states,
         gate=gate,
         gated=gated,

@@ -1,11 +1,14 @@
 """Encoder + head bundle, batched inference, and checkpoint files.
 
+A batch's mode decides what its trace keeps: a train pass keeps the
+activations that backpropagation reads, an eval pass keeps none.
 Inference forks per call: :meth:`Classifier.predict` deals its batches over
 at most one process per usable CPU through ``parallel._forked_map`` and
 returns the same bits as one process computing every batch in order.
 
-Checkpoints are numpy ``.npz`` archives holding every head tensor, the
-builtin encoder's embedding table, and a JSON metadata record with the
+Checkpoints are numpy ``.npz`` archives holding the training tensor map,
+``Classifier.trainable_tensors(train_encoder=True)`` (every head tensor and
+the builtin encoder's embedding table), and a JSON metadata record with the
 component configs. Restoring a checkpoint reproduces
 eval-mode forward outputs bit for bit; a file that cannot be restored raises
 :class:`~stegadapt.errors.CheckpointError`.
@@ -86,16 +89,16 @@ class Classifier:
         head: HeadParams,
         mode: str = "eval",
         dropout_rng: np.random.Generator | None = None,
-        keep_activations: bool = True,
     ):
-        """Encode and run one batch through ``head``; returns the trace plus the padded id matrix.
+        """Encode and run one batch through ``head``; returns the trace and the id matrix (``None`` from a store).
 
-        ``keep_activations=False`` makes an inference trace, which
+        A train pass keeps the activations ``backward_batch`` reads. An eval
+        pass keeps none: its trace is an inference trace, which
         ``backward_batch`` refuses (see :func:`~stegadapt.head.forward_batch`).
         """
         feats, lengths, ids = self.encoder.encode_batch(samples)
         trace = forward_batch(
-            feats, lengths, head, mode=mode, dropout_rng=dropout_rng, keep_activations=keep_activations
+            feats, lengths, head, mode=mode, dropout_rng=dropout_rng, keep_activations=mode == "train"
         )
         return trace, ids
 
@@ -103,12 +106,11 @@ class Classifier:
         """Eval-mode class probabilities (float64) for many samples, in input order.
 
         With ``return_pooled`` the pooled features come back too, in the
-        compute dtype. Each batch is an inference pass that keeps no
-        backpropagation arrays (``keep_activations=False``), with the same
-        bits as a pass that keeps them. The batches are ``batch_size``
-        consecutive samples, dealt over this process and forked children by
-        ``_forked_map``; each batch is computed alone, so the bits do not
-        depend on where it ran.
+        compute dtype. Each batch is an eval pass, which keeps no
+        backpropagation arrays and has the same bits as a pass that keeps
+        them. The batches are ``batch_size`` consecutive samples, dealt over
+        this process and forked children by ``_forked_map``; each batch is
+        computed alone, so the bits do not depend on where it ran.
         With one CPU or one batch, without ``os.fork``, while other threads
         run or inside another map, every batch runs in this process.
         """
@@ -117,7 +119,7 @@ class Classifier:
         head = self.compute_head()
 
         def batch(start: int):
-            trace, _ = self.forward_samples(samples[start : start + batch_size], head, keep_activations=False)
+            trace, _ = self.forward_samples(samples[start : start + batch_size], head)
             return (trace.probs, trace.pooled_raw) if return_pooled else trace.probs
 
         outputs = _forked_map(batch, range(0, len(samples), batch_size))
@@ -146,9 +148,7 @@ def save_checkpoint(path: str | Path, model: Classifier, extra: dict | None = No
         "vocab_size": getattr(enc, "vocab_size", None),
         "extra": extra or {},
     }
-    arrays: dict[str, np.ndarray] = {f"head.{k}": v for k, v in model.head.tensors.items()}
-    if isinstance(enc, BuiltinEncoder):
-        arrays["encoder.embedding"] = enc.table
+    arrays = model.trainable_tensors(train_encoder=True)
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with atomic_open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -163,7 +163,8 @@ def load_checkpoint(path: str | Path, store: dict | None = None) -> tuple[Classi
     tensor of the wrong shape raises :class:`CheckpointError` naming the file.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaks a file it opened itself when the archive is truncated.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
             arrays = dict(archive)
     except (OSError, EOFError, ValueError, TypeError, NotImplementedError, zipfile.BadZipFile) as exc:
         raise CheckpointError(path, f"not a readable .npz archive ({exc})") from exc

@@ -88,6 +88,25 @@ def test_pretrain_adapt_evaluate_chain(workspace):
     assert row.startswith("S,F,1,flc,none,0,")
 
 
+@pytest.mark.parametrize("command", ["adapt", "evaluate"])
+def test_checkpoint_with_two_eval_seeds_rejected(tmp_path, capsys, tiny_config_dict, command):
+    """A ``--checkpoint`` is one model, so with two eval seeds it is refused before anything is read or written;
+    ``--seed`` picks the one seed it serves."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**tiny_config_dict, "eval": {**tiny_config_dict["eval"], "seeds": [0, 1]}}))
+    out = tmp_path / "out"
+    assert _run(config, out, "pretrain", *TASK) == 0
+    ckpt = out / "runs" / "S__F" / "none" / "seed0" / "pretrain.npz"
+    before = {path: path.is_file() and path.read_bytes() for path in out.rglob("*")}
+    capsys.readouterr()
+    assert _run(config, out, command, "--source", "S", "--target", "F", "--checkpoint", str(ckpt)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --checkpoint is one model but eval.seeds is [0, 1]; pick one with --seed\n"
+    assert {path: path.is_file() and path.read_bytes() for path in out.rglob("*")} == before
+    assert _run(config, out, command, *TASK, "--checkpoint", str(ckpt)) == 0
+    assert not (out / "runs" / "S__F" / "none" / "seed1").exists()
+
+
 def test_evaluate_reruns_byte_identical(workspace):
     tmp, config = workspace
     out = tmp / "out"

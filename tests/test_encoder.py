@@ -126,12 +126,11 @@ def test_precomputed_never_trainable():
 
 def test_builtin_gradient_accumulates_per_token_rows():
     enc = BuiltinEncoder(EncoderConfig(d_h=4, seed=0), vocab_size=8)
-    ids = np.array([[4, 4, 5]])
+    ids = np.array([[4, 4, PAD]])  # third position is padding, which holds PAD as encode_batch writes it
     d_feats = np.ones((1, 3, 4))
-    lengths = np.array([2])  # third position is padding
-    grads = enc.gradient_tensors(ids, d_feats, lengths)["encoder.embedding"]
+    grads = enc.gradient_tensors(ids, d_feats)["encoder.embedding"]
     np.testing.assert_array_equal(grads[4], 2 * np.ones(4))
-    np.testing.assert_array_equal(grads[5], 0.0)
+    np.testing.assert_array_equal(np.delete(grads, 4, axis=0), 0.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -144,7 +143,7 @@ def test_builtin_gradient_matches_row_scatter_oracle_bitwise(dtype):
     rng = np.random.default_rng(7)
     for _ in range(20):
         d_features = rng.standard_normal(ids.shape + (enc.config.d_h,)).astype(dtype)
-        grad = enc.gradient_tensors(ids, d_features, lengths)["encoder.embedding"]
+        grad = enc.gradient_tensors(ids, d_features)["encoder.embedding"]
         assert grad.tobytes() == embedding_gradient_by_rows(enc, ids, d_features, lengths).tobytes()
     assert not grad[PAD].any() and grad[UNK].any()
 
@@ -162,6 +161,18 @@ def test_precomputed_roundtrip_and_passthrough(tmp_path):
     assert d_h == 8 and len(store) == 2
     enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8), store)
     np.testing.assert_array_equal(enc.encode(_sample((4,), "a")), matrix)
+
+
+def test_precomputed_batch_pads_features_and_has_no_ids():
+    """A store is never trained, so its batch has no id matrix; rows past a sample's length are zero."""
+    store = {"a": np.ones((3, 8)), "b": np.full((1, 8), 2.0)}
+    enc = PrecomputedEncoder(EncoderConfig(kind="precomputed", d_h=8), store)
+    feats, lengths, ids = enc.encode_batch([_sample((4,), "b"), _sample((4,), "a")])
+    np.testing.assert_array_equal(lengths, [1, 3])
+    assert feats.shape == (2, 3, 8) and ids is None
+    np.testing.assert_array_equal(feats[0, :1], store["b"])
+    np.testing.assert_array_equal(feats[0, 1:], 0.0)
+    np.testing.assert_array_equal(feats[1], store["a"])
 
 
 def test_precomputed_ragged_rows_are_format_error(tmp_path):

@@ -395,9 +395,10 @@ def test_float32_run_matches_float64_run(layers, mode):
 _CACHE_ARRAYS = ("sig", "cand", "cell", "tanh_cell", "hidden")
 
 
-def _oracle_run_directions(x_pair, wx, wh, b, offsets):
+def _oracle_run_directions(x_pair, wx, wh, b, offsets, keep_activations):
     ref = run_directions_direction_major(x_pair, wx, wh, b, offsets)
-    return head._PairCache(ref["x"], *(np.ascontiguousarray(ref[k].transpose(1, 0, 2)) for k in _CACHE_ARRAYS))
+    cache = head._PairCache(ref["x"], *(np.ascontiguousarray(ref[k].transpose(1, 0, 2)) for k in _CACHE_ARRAYS))
+    return cache.hidden, cache
 
 
 def _oracle_bptt_directions(cache, dh_out, wx, wh, packing):

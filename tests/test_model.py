@@ -10,7 +10,7 @@ import pytest
 from stegadapt.corpus import TextSample
 from stegadapt.encoder import EncoderConfig
 from stegadapt.errors import CheckpointError, NumericError
-from stegadapt.head import HeadConfig
+from stegadapt.head import HeadConfig, backward_batch
 from stegadapt.model import Classifier, config_hash, load_checkpoint, predicted_labels, save_checkpoint
 from oracles import models_equal
 
@@ -96,6 +96,23 @@ def test_predict_reports_a_numeric_error_from_a_forked_batch(monkeypatch):
     assert pids == [parent]  # this process ran only the clean first batch
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_forward_samples_keeps_activations_in_train_mode_only(layers):
+    """A train trace keeps one cache per layer for ``backward_batch``; an eval trace keeps none, and is refused."""
+    model = _model(layers=layers)
+    samples = _samples(6)
+    labels = [0, 1] * 3
+    head = model.compute_head()
+    train, _ = model.forward_samples(samples, head, mode="train", dropout_rng=np.random.default_rng(0))
+    assert len(train.pair_caches) == layers
+    grads, _ = backward_batch(train, labels, head)
+    assert grads.keys() == head.tensors.keys()
+    inference, _ = model.forward_samples(samples, head)
+    assert inference.mode == "eval" and inference.pair_caches is None
+    with pytest.raises(ValueError, match="keep_activations=True"):
+        backward_batch(inference, labels, head)
 
 
 def test_predicted_labels_tie_breaks_to_cover():
